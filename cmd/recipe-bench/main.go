@@ -315,7 +315,7 @@ func phasesTable() error {
 		w := workload.Config{Keys: 1024, ReadRatio: 0.50, ValueSize: 256, Seed: 1}
 		c, err := harness.New(harness.Options{
 			Protocol: harness.Raft, Shielded: true, Seed: 1,
-			Durability: true, PipelineWorkers: 2,
+			Durability: true,
 		})
 		if err != nil {
 			return err
@@ -508,14 +508,12 @@ func memTable() error {
 		for _, mode := range []struct {
 			name     string
 			maxBatch int
-			workers  int
 		}{
-			{"per-message", 1, 0},
-			{"batched", 0, 0},   // node default (64)
-			{"pipelined", 0, 2}, // staged data plane forced on
+			{"per-message", 1},
+			{"batched", 0}, // node default (64)
 		} {
 			m, err := measureMem(harness.Options{Protocol: proto, Shielded: true, Seed: 1,
-				MaxBatch: mode.maxBatch, PipelineWorkers: mode.workers},
+				MaxBatch: mode.maxBatch},
 				workload.Config{ReadRatio: 0.50, ValueSize: 256})
 			if err != nil {
 				return err

@@ -25,8 +25,9 @@ func TestShieldBatchRoundTrip(t *testing.T) {
 		t.Fatalf("envelope = %+v; want Batch at Seq 1", env)
 	}
 	// Cross the wire: the batch flag must survive the codec.
-	env, err = DecodeEnvelope(env.Encode())
-	if err != nil || !env.Batch {
+	wire := env.AppendTo(nil)
+	env = Envelope{}
+	if err := DecodeEnvelopeInto(&env, wire); err != nil || !env.Batch {
 		t.Fatalf("codec round trip: %v, batch=%v", err, env.Batch)
 	}
 	st, got, err := b.Verify(env)

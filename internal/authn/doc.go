@@ -55,10 +55,9 @@
 //   - DecodeEnvelopeInto: the envelope's Payload and MAC alias the wire
 //     buffer, which must stay alive while the envelope is in use — including
 //     while it sits in a channel's out-of-order buffer awaiting gap closure.
-//     (DecodeEnvelope keeps the copying behaviour for callers that retain.)
 //   - Verify: the returned slice is the channel's reusable delivery scratch,
 //     valid only until the next Verify or TickFutures on the same channel.
-//     Consume it synchronously (as the node event loop does) or copy.
+//     Consume it synchronously (as the node's ingress workers do) or copy.
 //
 // Concurrency: the channel table is an RWMutex-guarded map with a lock per
 // channel, so concurrent channels never serialise on a global lock; SetView

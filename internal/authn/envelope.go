@@ -102,11 +102,6 @@ func (e *Envelope) AppendTo(buf []byte) []byte {
 	return buf
 }
 
-// Encode serialises the envelope for transport into a fresh buffer.
-func (e *Envelope) Encode() []byte {
-	return e.AppendTo(make([]byte, 0, e.EncodedSize()))
-}
-
 // DecodeEnvelopeInto parses an envelope from wire bytes without copying:
 // Payload and MAC alias data, so the caller must keep data alive and
 // unmodified for as long as it uses the envelope (buffered out-of-order
@@ -133,19 +128,6 @@ func DecodeEnvelopeInto(e *Envelope, data []byte) error {
 		return fmt.Errorf("decode envelope: %d trailing bytes", len(data)-r.pos)
 	}
 	return nil
-}
-
-// DecodeEnvelope parses an envelope from wire bytes into an independent
-// value: Payload and MAC are copied, so the envelope stays valid after data
-// is reused.
-func DecodeEnvelope(data []byte) (Envelope, error) {
-	var e Envelope
-	if err := DecodeEnvelopeInto(&e, data); err != nil {
-		return Envelope{}, err
-	}
-	e.Payload = append([]byte(nil), e.Payload...)
-	e.MAC = append([]byte(nil), e.MAC...)
-	return e, nil
 }
 
 // BatchItem is one message inside a batch envelope.

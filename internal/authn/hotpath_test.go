@@ -64,7 +64,7 @@ func TestDecodeEnvelopeIntoAliases(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Shield: %v", err)
 	}
-	data := env.Encode()
+	data := env.AppendTo(nil)
 	var e Envelope
 	if err := DecodeEnvelopeInto(&e, data); err != nil {
 		t.Fatalf("DecodeEnvelopeInto: %v", err)
@@ -85,7 +85,7 @@ func TestDecodeEnvelopeIntoAliases(t *testing.T) {
 func TestEnvelopeEncodedSizeExact(t *testing.T) {
 	e := Envelope{View: 9, Epoch: 3, Channel: "n1->n2", Group: 7, Seq: 42, Kind: 7,
 		Enc: true, Batch: true, Payload: []byte{1, 2, 3}, MAC: bytes.Repeat([]byte{9}, 32)}
-	if got, want := len(e.Encode()), e.EncodedSize(); got != want {
+	if got, want := len(e.AppendTo(nil)), e.EncodedSize(); got != want {
 		t.Errorf("EncodedSize = %d, encoded length = %d", want, got)
 	}
 }

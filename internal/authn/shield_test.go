@@ -54,9 +54,9 @@ func TestShieldVerifyRoundTrip(t *testing.T) {
 func TestEnvelopeCodecRoundTrip(t *testing.T) {
 	e := Envelope{View: 9, Channel: "n1->n2", Seq: 42, Kind: 7, Enc: true,
 		Payload: []byte{1, 2, 3}, MAC: bytes.Repeat([]byte{9}, 32)}
-	got, err := DecodeEnvelope(e.Encode())
-	if err != nil {
-		t.Fatalf("DecodeEnvelope: %v", err)
+	var got Envelope
+	if err := DecodeEnvelopeInto(&got, e.AppendTo(nil)); err != nil {
+		t.Fatalf("DecodeEnvelopeInto: %v", err)
 	}
 	if got.View != e.View || got.Channel != e.Channel || got.Seq != e.Seq ||
 		got.Kind != e.Kind || got.Enc != e.Enc ||
@@ -72,7 +72,8 @@ func TestEnvelopeCodecProperty(t *testing.T) {
 		if len(channel) > 65535 {
 			return true // length field is uint16 by design
 		}
-		got, err := DecodeEnvelope(e.Encode())
+		var got Envelope
+		err := DecodeEnvelopeInto(&got, e.AppendTo(nil))
 		return err == nil && got.View == view && got.Seq == seq &&
 			got.Kind == kind && got.Channel == channel && got.Enc == enc &&
 			bytes.Equal(got.Payload, payload) && bytes.Equal(got.MAC, mac)
@@ -84,9 +85,10 @@ func TestEnvelopeCodecProperty(t *testing.T) {
 
 func TestDecodeTruncatedNeverPanics(t *testing.T) {
 	e := Envelope{View: 1, Channel: "c", Seq: 1, Kind: 1, Payload: []byte("xyz"), MAC: make([]byte, 32)}
-	wire := e.Encode()
+	wire := e.AppendTo(nil)
 	for n := 0; n < len(wire); n++ {
-		if _, err := DecodeEnvelope(wire[:n]); err == nil {
+		var got Envelope
+		if err := DecodeEnvelopeInto(&got, wire[:n]); err == nil {
 			t.Errorf("truncation at %d accepted", n)
 		}
 	}
@@ -190,7 +192,7 @@ func TestConfidentialityHidesPayload(t *testing.T) {
 	a, b := newPair(t, WithConfidentiality())
 	secret := []byte("patient record: positive")
 	env := mustShield(t, a, "ab", 1, secret)
-	if bytes.Contains(env.Encode(), secret) {
+	if bytes.Contains(env.AppendTo(nil), secret) {
 		t.Errorf("confidential envelope leaks plaintext")
 	}
 	st, got, err := b.Verify(env)

@@ -203,7 +203,7 @@ func (n *Node) overloaded() bool {
 	if len(n.submitCh) >= cap(n.submitCh)*3/4 {
 		return true
 	}
-	if n.pipe != nil && len(n.pipe.verified) >= cap(n.pipe.verified)*3/4 {
+	if len(n.pipe.verified) >= cap(n.pipe.verified)*3/4 {
 		return true
 	}
 	return false

@@ -78,14 +78,6 @@ type NodeConfig struct {
 	MaxBatch int
 	// Confidential additionally encrypts message payloads and stored values.
 	Confidential bool
-	// PipelineWorkers controls the multi-core data plane. 0 (the default)
-	// sizes it automatically: inline (single-threaded, no stages) when
-	// GOMAXPROCS is 1, otherwise min(GOMAXPROCS, 8) ingress and egress
-	// workers around the protocol loop. -1 forces the inline data plane
-	// regardless of GOMAXPROCS. Values >= 1 set the per-stage worker count
-	// explicitly. Only shielded nodes pipeline — the stages parallelise the
-	// authn crypto, which native mode does not have.
-	PipelineWorkers int
 	// StoreConfig configures the local KV store.
 	StoreConfig kvstore.Config
 	// Durability, when set, gives the node a sealed durable store: committed
@@ -185,8 +177,8 @@ type Node struct {
 	// log; recoveredFloor is the highest version TS local recovery restored
 	// (the state-transfer suffix floor for total-order protocols).
 	// deferredReplies parks client replies produced during an iteration
-	// until the WAL group-commit has made their writes durable — an ack must
-	// never outrun the fsync backing it. Event-loop-goroutine only.
+	// until the commit stage's WAL fsync has made their writes durable — an
+	// ack must never outrun the fsync backing it. Event-loop-goroutine only.
 	wal             *seal.Log
 	walReady        bool
 	walRecovered    bool
@@ -225,16 +217,16 @@ type Node struct {
 	outFreeItems [][]authn.BatchItem
 	outFreeOrder [][]string
 
-	// pipe is the staged data plane (nil = inline single-threaded plane).
-	// See pipeline.go for the stage layout and ownership contract.
+	// pipe is the staged data plane. See pipeline.go for the stage layout
+	// and ownership contract.
 	pipe *pipeline
 	// iterAppends counts WAL appends since the last commit handoff.
 	// Atomic: most appends come from the event loop applying protocol
 	// commands, but migration sweeps (Store.DropIf) and recovery merges
 	// reach the mutation sink from other goroutines.
 	iterAppends atomic.Int64
-	// replyFree recycles deferred-reply slices across loop iterations when
-	// the commit stage owns sending them.
+	// replyFree recycles deferred-reply slices across loop iterations; the
+	// commit stage owns each slice from handoff until it sent the replies.
 	replyFreeMu sync.Mutex
 	replyFree   [][]deferredReply
 
@@ -373,9 +365,7 @@ func NewNode(e *tee.Enclave, tr netstack.Transport, proto Protocol, cfg NodeConf
 	}
 	// After the WAL: the pipeline's commit stage exists only for durable
 	// nodes, so it must see the final n.wal.
-	if w := pipelineWorkerCount(cfg); w > 0 {
-		n.pipe = newPipeline(n, w)
-	}
+	n.pipe = newPipeline(n, pipelineWorkerCount())
 	return n, nil
 }
 
@@ -492,26 +482,10 @@ func (n *Node) Enclave() *tee.Enclave { return n.enclave }
 // Stats returns the node's authn-boundary counters.
 func (n *Node) Stats() *Stats { return &n.stats }
 
-// Pipelined reports whether this node runs the staged multi-core data plane
-// (and with how many workers per stage); (false, 0) means the inline
-// single-threaded plane.
-func (n *Node) Pipelined() (bool, int) {
-	if n.pipe == nil {
-		return false, 0
-	}
-	return true, n.pipe.workers
-}
-
 // PipelineDepths returns an instantaneous snapshot of the staged plane's
-// queue depths (all zero on the inline plane). Together with
-// Stats.PipelineStalls this makes overload observable: a stage pinned at its
-// queue bound is the bottleneck.
-func (n *Node) PipelineDepths() PipelineDepths {
-	if n.pipe == nil {
-		return PipelineDepths{}
-	}
-	return n.pipe.depths()
-}
+// queue depths. Together with Stats.PipelineStalls this makes overload
+// observable: a stage pinned at its queue bound is the bottleneck.
+func (n *Node) PipelineDepths() PipelineDepths { return n.pipe.depths() }
 
 // OverflowDrops returns how many authenticated messages the authn layer
 // discarded because a channel's future buffer was full. The batch verify
@@ -768,60 +742,19 @@ func (n *Node) Status() Status {
 	return Status{}
 }
 
-// maxLoopDrain bounds how many queued packets and commands one event-loop
+// maxLoopDrain bounds how many verified messages and commands one event-loop
 // iteration consumes before flushing, so a flood cannot starve ticks.
 const maxLoopDrain = 256
 
+// run is the protocol loop. Ingress workers feed it verified messages;
+// egress workers and the commit stage take work off it. Everything the
+// Protocol interface can observe happens on this one goroutine. The stages
+// drain and join before doneCh closes, so Stop's WAL close (or Crash's
+// abandon) never races an in-flight stage.
 func (n *Node) run() {
 	defer close(n.doneCh)
-	if n.pipe != nil {
-		// Staged data plane: ingress workers feed verified messages to this
-		// loop, egress workers and the commit stage take work off it. The
-		// stages drain and join before doneCh closes, so Stop's WAL close (or
-		// Crash's abandon) never races an in-flight stage.
-		defer n.pipe.shutdown()
-		n.pipe.start()
-		n.runPipelined()
-		return
-	}
-	ticker := time.NewTicker(n.cfg.TickEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-n.stopCh:
-			return
-		case pkt, ok := <-n.tr.Inbox():
-			if !ok {
-				return
-			}
-			n.handlePacket(pkt)
-			n.drainBatch(maxLoopDrain - 1)
-		case cmd := <-n.submitCh:
-			n.dispatchCommand(cmd)
-			n.drainBatch(maxLoopDrain - 1)
-		case <-ticker.C:
-			n.proto.Tick()
-			if n.cfg.Shielded {
-				n.flushFutures()
-			}
-			if n.mem != nil {
-				n.memTick()
-			}
-			if n.al != nil {
-				n.adaptTick()
-			}
-		}
-		n.flushBatch()
-	}
-}
-
-// runPipelined is the protocol loop of the staged data plane: identical
-// protocol semantics, but packets arrive pre-verified (decode + MAC check +
-// decrypt already done by the ingress stage, in per-channel order) and the
-// expensive halves of flushBatch leave through the egress and commit stages.
-// Everything the Protocol interface can observe still happens on this one
-// goroutine.
-func (n *Node) runPipelined() {
+	defer n.pipe.shutdown()
+	n.pipe.start()
 	ticker := time.NewTicker(n.cfg.TickEvery)
 	defer ticker.Stop()
 	for {
@@ -829,14 +762,11 @@ func (n *Node) runPipelined() {
 		case <-n.stopCh:
 			return
 		case m := <-n.pipe.verified:
-			if !m.enq.IsZero() {
-				n.phase.queueWait.RecordSince(m.enq)
-			}
-			n.dispatchWire(m.from, m.w)
-			n.drainPipelined(maxLoopDrain - 1)
+			n.dispatchVerified(m)
+			n.drain(maxLoopDrain - 1)
 		case cmd := <-n.submitCh:
 			n.dispatchCommand(cmd)
-			n.drainPipelined(maxLoopDrain - 1)
+			n.drain(maxLoopDrain - 1)
 		case <-ticker.C:
 			n.proto.Tick()
 			n.flushFutures()
@@ -851,17 +781,15 @@ func (n *Node) runPipelined() {
 	}
 }
 
-// drainPipelined is drainBatch for the staged plane: it consumes verified
-// messages and submitted commands, never the raw inbox (the ingress
-// dispatcher owns that).
-func (n *Node) drainPipelined(budget int) {
+// drain opportunistically consumes up to budget more verified messages and
+// submitted commands without blocking, so a burst is dispatched within one
+// iteration and every message it produces coalesces into shared envelopes
+// and packets.
+func (n *Node) drain(budget int) {
 	for ; budget > 0; budget-- {
 		select {
 		case m := <-n.pipe.verified:
-			if !m.enq.IsZero() {
-				n.phase.queueWait.RecordSince(m.enq)
-			}
-			n.dispatchWire(m.from, m.w)
+			n.dispatchVerified(m)
 		case cmd := <-n.submitCh:
 			n.dispatchCommand(cmd)
 		default:
@@ -870,76 +798,36 @@ func (n *Node) drainPipelined(budget int) {
 	}
 }
 
-// drainBatch opportunistically consumes up to budget more queued packets and
-// commands without blocking, so a burst is dispatched within one iteration
-// and every message it produces coalesces into shared envelopes and packets.
-func (n *Node) drainBatch(budget int) {
-	for ; budget > 0; budget-- {
-		select {
-		case pkt, ok := <-n.tr.Inbox():
-			if !ok {
-				return
-			}
-			n.handlePacket(pkt)
-		case cmd := <-n.submitCh:
-			n.dispatchCommand(cmd)
-		default:
-			return
-		}
+// dispatchVerified records a verified message's queue dwell and routes it.
+func (n *Node) dispatchVerified(m verifiedMsg) {
+	if !m.enq.IsZero() {
+		n.phase.queueWait.RecordSince(m.enq)
 	}
+	n.dispatchWire(m.from, m.w)
 }
 
 // flushBatch ends one event-loop iteration: batching protocols emit their
-// deferred messages, then — with durability on — the WAL group-commits
-// (every mutation the iteration applied shares one fsync, riding the same
-// batch cadence that coalesces envelopes; clean iterations skip it) BEFORE
-// the parked client replies go out, so an acknowledgement never outruns the
-// fsync backing it. Peer traffic then flushes as batched envelopes.
+// deferred messages, the iteration's durability work goes to the commit
+// stage, and peer traffic flushes as batched envelopes.
 func (n *Node) flushBatch() {
 	if bf, ok := n.proto.(BatchFlusher); ok {
 		bf.FlushBatch()
 	}
 	n.publishStatus()
-	if n.wal != nil && n.pipe != nil {
+	if n.wal != nil {
 		n.handoffCommit()
-	} else if n.wal != nil {
-		if err := n.wal.Commit(); err != nil {
-			// Same contract as a failed append: an ack must never outrun its
-			// fsync, and a commit that cannot happen means the iteration's
-			// writes are not durable. Withhold the acks and crash-stop.
-			n.cfg.Logf("node %s: wal commit failed, crash-stopping: %v", n.id, err)
-			n.walBroken.Store(true)
-			n.dumpTrace("wal commit failed")
-			n.enclave.Crash()
-		}
-		if n.walBroken.Load() {
-			n.dropDeferredReplies()
-		} else {
-			n.flushDeferredReplies()
-			if n.wal.ShouldSnapshot() && n.snapInFlight.CompareAndSwap(false, true) {
-				// Checkpoint off-loop: the O(store) dump+seal+fsync must not
-				// stall ticks, heartbeats, or the apply path. WriteSnapshot
-				// holds the log's lock only to stamp and rotate; appends keep
-				// flowing into a fresh segment meanwhile.
-				go func() {
-					defer n.snapInFlight.Store(false)
-					if err := n.Checkpoint(); err != nil {
-						n.cfg.Logf("node %s: checkpoint: %v", n.id, err)
-					}
-				}()
-			}
-		}
 	}
 	n.flushOutbound()
 }
 
-// handoffCommit ends a pipelined iteration's durability work: the parked
-// client replies travel to the commit stage, whose goroutine runs the
-// overlapped WAL fsync (seal.Log.Sync) and only then sends them — the
-// ack-after-fsync contract, preserved off-loop. Iterations that neither
-// appended nor parked replies skip the handoff entirely. The automatic
-// checkpoint trigger stays on the loop (WriteSnapshot coordinates with the
-// commit stage through the log's own locking).
+// handoffCommit ends an iteration's durability work: the parked client
+// replies travel to the commit stage, whose goroutine group-commits every
+// mutation the iteration applied in one overlapped WAL fsync
+// (seal.Log.Sync) and only then sends them — an ack never outruns the fsync
+// backing it. Iterations that neither appended nor parked replies skip the
+// handoff entirely. The automatic checkpoint trigger stays on the loop
+// (WriteSnapshot coordinates with the commit stage through the log's own
+// locking).
 func (n *Node) handoffCommit() {
 	if n.iterAppends.Swap(0) > 0 || len(n.deferredReplies) > 0 {
 		replies := n.deferredReplies
@@ -947,6 +835,10 @@ func (n *Node) handoffCommit() {
 		n.pipe.submitCommit(commitReq{replies: replies})
 	}
 	if !n.walBroken.Load() && n.wal.ShouldSnapshot() && n.snapInFlight.CompareAndSwap(false, true) {
+		// Checkpoint off-loop: the O(store) dump+seal+fsync must not stall
+		// ticks, heartbeats, or the apply path. WriteSnapshot holds the log's
+		// lock only to stamp and rotate; appends keep flowing into a fresh
+		// segment meanwhile.
 		go func() {
 			defer n.snapInFlight.Store(false)
 			if err := n.Checkpoint(); err != nil {
@@ -983,80 +875,10 @@ func (n *Node) putReplySlice(s []deferredReply) {
 	n.replyFreeMu.Unlock()
 }
 
-// dropDeferredReplies discards the iteration's parked client replies
-// unsent: their writes could not be made durable, so the clients must not
-// observe acknowledgements (they will retry against the surviving replicas).
-func (n *Node) dropDeferredReplies() {
-	for i := range n.deferredReplies {
-		n.deferredReplies[i] = deferredReply{}
-	}
-	n.deferredReplies = n.deferredReplies[:0]
-}
-
-// handlePacket splits coalesced transport packets and processes each frame.
-func (n *Node) handlePacket(pkt netstack.Packet) {
-	frames, multi, err := netstack.SplitFrames(pkt.Data)
-	if err != nil {
-		n.stats.DropMalformed.Add(1)
-		return
-	}
-	if !multi {
-		n.handleFrame(pkt.From, pkt.Data)
-		return
-	}
-	for _, f := range frames {
-		n.handleFrame(pkt.From, f)
-	}
-}
-
-// handleFrame verifies (if shielded) and dispatches one wire frame.
-func (n *Node) handleFrame(from string, data []byte) {
-	if !n.cfg.Shielded {
-		w, err := DecodeWire(data)
-		if err != nil {
-			n.stats.DropMalformed.Add(1)
-			return
-		}
-		n.dispatchWire(from, w)
-		return
-	}
-
-	// Zero-copy decode: the envelope aliases the packet buffer, which stays
-	// alive for as long as the authn layer retains the envelope (buffered
-	// futures included), so no per-frame payload copy is needed.
-	var env authn.Envelope
-	if err := authn.DecodeEnvelopeInto(&env, data); err != nil {
-		n.stats.DropMalformed.Add(1)
-		return
-	}
-	n.ensureChannel(env.Channel)
-	var verifyStart time.Time
-	if n.phase.ingressVerify != nil {
-		verifyStart = time.Now()
-	}
-	status, delivered, err := n.shielder.Verify(env)
-	if !verifyStart.IsZero() {
-		n.phase.ingressVerify.RecordSince(verifyStart)
-	}
-	if err != nil {
-		n.countVerifyError(env.Channel, from, err)
-		return
-	}
-	if status == authn.Buffered {
-		n.stats.Buffered.Add(1)
-		return
-	}
-	for _, d := range delivered {
-		if w, ok := n.decodeDelivered(d); ok {
-			n.dispatchWire(w.From, w)
-		}
-	}
-}
-
 // countVerifyError maps one Verify failure onto its drop counter, with the
 // stale-epoch side effect of telling a lagging client the current map. Every
-// counter is atomic and sendEpochNotice is thread-safe, so the inline path
-// and the ingress stage workers share this unchanged.
+// counter is atomic and sendEpochNotice is thread-safe, so the ingress
+// workers call it concurrently.
 func (n *Node) countVerifyError(channel, from string, err error) {
 	switch {
 	case errors.Is(err, authn.ErrReplay):
@@ -1423,11 +1245,11 @@ func (n *Node) qsend(to string, data []byte) {
 	}
 }
 
-// flushOutbound drains the per-peer coalescing buffers — each run of up to
-// MaxBatch messages becomes one batched envelope (one MAC, one enclave
-// transition) — and flushes the transport's packet queue. Safe from any
-// goroutine; external senders (recovery, join announcements) call it
-// directly after queueing.
+// flushOutbound hands the per-peer coalescing buffers to the egress
+// workers — each run of up to MaxBatch messages becomes one batched envelope
+// (one MAC, one enclave transition) — and flushes the transport's queue of
+// native sends. Safe from any goroutine; external senders (recovery, join
+// announcements) call it directly after queueing.
 //
 // Buffer discipline: each peer's queue is taken out of the table per peer
 // (so concurrent senders keep queueing), the sealed envelope is encoded into
@@ -1457,15 +1279,10 @@ func (n *Node) flushOutbound() {
 		if len(items) == 0 {
 			continue
 		}
-		if n.pipe != nil {
-			// Staged plane: the peer's egress worker seals, encodes, sends,
-			// and recycles. Hashing by peer keeps one worker per channel, so
-			// the channel's counter order is the worker's processing order.
-			n.pipe.submitEgress(egressJob{to: to, items: items})
-			continue
-		}
-		n.sealAndSend(to, items)
-		n.releaseItems(items)
+		// The peer's egress worker seals, encodes, sends, and recycles.
+		// Hashing by peer keeps one worker per channel, so the channel's
+		// counter order is the worker's processing order.
+		n.pipe.submitEgress(egressJob{to: to, items: items})
 	}
 	n.outMu.Lock()
 	if len(n.outFreeOrder) < maxOutFreelist {
@@ -1477,11 +1294,9 @@ func (n *Node) flushOutbound() {
 
 // sealAndSend seals one peer's coalesced items into batched envelopes (one
 // MAC and one enclave transition per MaxBatch-sized chunk) and hands the
-// encoded packets to the transport. Callable from the event loop (inline
-// plane) or from the peer's egress worker (staged plane): the shielder's
-// channel table and the transport queue are both thread-safe, and only one
-// goroutine ever seals for a given peer, preserving the channel's counter
-// order on the wire.
+// encoded packets to the transport. The peer's egress worker is the only
+// goroutine that ever seals for it, preserving the channel's counter order
+// on the wire.
 func (n *Node) sealAndSend(to string, items []authn.BatchItem) {
 	if n.phase.egressSeal != nil {
 		start := time.Now()
@@ -1539,15 +1354,12 @@ func (n *Node) releaseItems(items []authn.BatchItem) {
 // are few, so the bound exists only to cap pathological churn.
 const maxOutFreelist = 64
 
-// flushTransport flushes the transport's per-peer packet queue, which may
-// hold raw (native-mode) sends queued directly via qsend. On the staged
-// plane it is a no-op: each egress worker flushes its own peers (flushPeer),
-// so a whole-queue flush here would only interleave with them.
+// flushTransport flushes the transport's per-peer packet queue of native
+// sends, which qsend queued directly. Shielded nodes skip it: each egress
+// worker flushes its own peers (flushPeer), so a whole-queue flush here
+// would only interleave with them.
 func (n *Node) flushTransport() {
-	if n.pipe != nil {
-		return
-	}
-	if !n.qsendCopies() {
+	if !n.cfg.Shielded && !n.qsendCopies() {
 		_ = n.bt.Flush()
 	}
 }
@@ -1568,9 +1380,9 @@ func (n *Node) flushPeer(to string) {
 }
 
 // sendToClient ships a reply to a client. With durability on, the reply is
-// deferred to the end of the event-loop iteration, after the WAL group
-// commit: the mutations backing it must be fsynced before the client can
-// observe an acknowledgement, or a power loss could forget an acked write.
+// parked until the commit stage's WAL group commit: the mutations backing
+// it must be fsynced before the client can observe an acknowledgement, or a
+// power loss could forget an acked write.
 // Memory-only nodes (and out-of-loop callers, which have no pending WAL
 // batch) send immediately. Event-loop goroutine only when wal != nil.
 func (n *Node) sendToClient(cmd Command, w *Wire) {
@@ -1579,16 +1391,6 @@ func (n *Node) sendToClient(cmd Command, w *Wire) {
 		return
 	}
 	n.sendToClientNow(cmd, w)
-}
-
-// flushDeferredReplies transmits the iteration's parked client replies,
-// after the WAL commit has made the writes behind them durable.
-func (n *Node) flushDeferredReplies() {
-	for i := range n.deferredReplies {
-		n.sendToClientNow(n.deferredReplies[i].cmd, n.deferredReplies[i].w)
-		n.deferredReplies[i] = deferredReply{}
-	}
-	n.deferredReplies = n.deferredReplies[:0]
 }
 
 // sendToClientNow shields a reply onto the client's directional channel.

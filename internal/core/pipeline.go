@@ -24,12 +24,14 @@ import (
 //
 // Ordering contract: the dispatcher routes every frame by its channel name
 // to a fixed ingress worker, so one worker owns each channel and Verify runs
-// in arrival order — per-channel sequence monotonicity is exactly what the
-// inline plane had. Egress jobs route by peer, so one worker owns each
-// outbound channel's seals and sends. The commit stage receives one request
-// per loop iteration in order, fsyncs (seal.Log.Sync, off the log's lock so
-// appends keep flowing), and only then releases that iteration's client
-// replies — an ack never outruns the fsync backing it.
+// in arrival order — per-channel sequence monotonicity holds. Native
+// (unshielded) frames carry no envelope: the dispatcher decodes them itself
+// and hands them straight to the verified queue, in arrival order. Egress
+// jobs route by peer, so one worker owns each outbound channel's seals and
+// sends. The commit stage receives one request per loop iteration in order,
+// fsyncs (seal.Log.Sync, off the log's lock so appends keep flowing), and
+// only then releases that iteration's client replies — an ack never
+// outruns the fsync backing it.
 //
 // Reconfiguration and teardown: SetView/SetEpoch take the shielder's channel
 // table lock exclusively, so a configuration move is atomic with respect to
@@ -48,26 +50,14 @@ const (
 	commitQueueDepth   = 16
 )
 
-// maxPipelineWorkers caps the automatic worker count; beyond ~8 the
-// single-threaded protocol loop is the bottleneck anyway.
+// maxPipelineWorkers caps the worker count; beyond ~8 the single-threaded
+// protocol loop is the bottleneck anyway.
 const maxPipelineWorkers = 8
 
-// pipelineWorkerCount resolves NodeConfig.PipelineWorkers (see its doc).
-func pipelineWorkerCount(cfg NodeConfig) int {
-	if !cfg.Shielded || cfg.PipelineWorkers < 0 {
-		return 0
-	}
-	if cfg.PipelineWorkers > 0 {
-		return cfg.PipelineWorkers
-	}
-	procs := runtime.GOMAXPROCS(0)
-	if procs <= 1 {
-		return 0 // single-core: the stages would only add handoff latency
-	}
-	if procs > maxPipelineWorkers {
-		return maxPipelineWorkers
-	}
-	return procs
+// pipelineWorkerCount is the per-stage worker count: one per usable CPU,
+// capped at maxPipelineWorkers.
+func pipelineWorkerCount() int {
+	return max(1, min(runtime.GOMAXPROCS(0), maxPipelineWorkers))
 }
 
 // ingressFrame is one decoded envelope travelling dispatcher → worker. The
@@ -222,7 +212,8 @@ func stageHash(name string, workers int) int {
 // dispatch is the transport reader: it splits coalesced packets, decodes
 // envelopes (zero-copy header parse — the cheap part), and routes each by
 // channel name to the worker owning that channel. Single-threaded, so frames
-// of one channel reach their worker in arrival order.
+// of one channel reach their worker in arrival order. Native frames decode
+// here and skip the workers.
 func (p *pipeline) dispatch() {
 	defer p.wg.Done()
 	n := p.n
@@ -252,6 +243,15 @@ func (p *pipeline) dispatch() {
 
 func (p *pipeline) dispatchFrame(from string, data []byte) {
 	n := p.n
+	if !n.cfg.Shielded {
+		w, err := DecodeWire(data)
+		if err != nil {
+			n.stats.DropMalformed.Add(1)
+			return
+		}
+		p.deliver(from, w)
+		return
+	}
 	var env authn.Envelope
 	if err := authn.DecodeEnvelopeInto(&env, data); err != nil {
 		n.stats.DropMalformed.Add(1)
@@ -302,33 +302,40 @@ func (p *pipeline) ingressWorker(ch chan ingressFrame) {
 				continue
 			}
 			for _, d := range delivered {
-				w, ok := n.decodeDelivered(d)
-				if !ok {
-					continue
-				}
-				m := verifiedMsg{from: w.From, w: w}
-				if n.phase.queueWait != nil {
-					m.enq = time.Now()
-				}
-				select {
-				case p.verified <- m:
-				default:
-					n.stats.PipelineStalls.Add(1)
-					n.trace("stall", "verified queue full")
-					select {
-					case p.verified <- m:
-					case <-n.stopCh:
-						return
-					}
+				if w, ok := n.decodeDelivered(d); ok && !p.deliver(w.From, w) {
+					return
 				}
 			}
 		}
 	}
 }
 
+// deliver hands one verified message to the protocol loop, blocking while
+// the verified queue is full. It returns false when the node stopped first.
+func (p *pipeline) deliver(from string, w *Wire) bool {
+	n := p.n
+	m := verifiedMsg{from: from, w: w}
+	if n.phase.queueWait != nil {
+		m.enq = time.Now()
+	}
+	select {
+	case p.verified <- m:
+		return true
+	default:
+	}
+	n.stats.PipelineStalls.Add(1)
+	n.trace("stall", "verified queue full")
+	select {
+	case p.verified <- m:
+		return true
+	case <-n.stopCh:
+		return false
+	}
+}
+
 // submitEgress hands one peer's batch to the worker owning that peer.
 // Callable from the loop and from off-loop senders (join announcements,
-// recovery), exactly like the flushOutbound path it replaces.
+// recovery) through flushOutbound.
 func (p *pipeline) submitEgress(job egressJob) {
 	n := p.n
 	ch := p.egress[stageHash(job.to, p.workers)]
@@ -389,8 +396,8 @@ func (p *pipeline) submitCommit(req commitReq) {
 
 // committer is the commit stage: per loop iteration, one overlapped WAL
 // fsync (appends keep flowing meanwhile) followed by that iteration's client
-// replies. A failed fsync crash-stops the node exactly as the inline commit
-// did — the replies are withheld, because their writes are not durable.
+// replies. A failed fsync crash-stops the node — the replies are withheld,
+// because their writes are not durable.
 func (p *pipeline) committer() {
 	defer p.wg.Done()
 	n := p.n

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
+	"recipe/internal/attest"
 	"recipe/internal/authn"
+	"recipe/internal/netstack"
+	"recipe/internal/tee"
 )
 
 // TestStageHandoffAllocFree: the stage boundary types travel by value and
@@ -35,23 +40,36 @@ func TestStageHandoffAllocFree(t *testing.T) {
 	}
 }
 
-// TestPipelineWorkerCountResolution pins the PipelineWorkers knob contract:
-// -1 forces inline, explicit N is honored, and the unshielded plane never
-// stages (there is no crypto to parallelise).
+// TestPipelineWorkerCountResolution pins the derived stage width: one
+// worker per usable CPU, capped at maxPipelineWorkers, and never zero — a
+// single-core host still runs one ingress and one egress worker. Shielded
+// and native nodes size their stages alike.
 func TestPipelineWorkerCountResolution(t *testing.T) {
-	cases := []struct {
-		cfg  NodeConfig
-		want int
-	}{
-		{NodeConfig{Shielded: true, PipelineWorkers: -1}, 0},
-		{NodeConfig{Shielded: true, PipelineWorkers: 3}, 3},
-		{NodeConfig{Shielded: false, PipelineWorkers: 4}, 0},
-		{NodeConfig{Shielded: true, PipelineWorkers: 12}, 12},
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	fab := netstack.NewFabric()
+	plat, err := tee.NewPlatform("workers", tee.WithCostModel(tee.NativeCostModel()))
+	if err != nil {
+		t.Fatalf("platform: %v", err)
 	}
-	for _, c := range cases {
-		if got := pipelineWorkerCount(c.cfg); got != c.want {
-			t.Fatalf("pipelineWorkerCount(shielded=%v, workers=%d) = %d, want %d",
-				c.cfg.Shielded, c.cfg.PipelineWorkers, got, c.want)
+	for _, c := range []struct{ procs, want int }{{1, 1}, {2, 2}, {16, 8}} {
+		runtime.GOMAXPROCS(c.procs)
+		for _, shielded := range []bool{true, false} {
+			id := fmt.Sprintf("w%d-%v", c.procs, shielded)
+			ep, err := fab.Register(id)
+			if err != nil {
+				t.Fatalf("register %s: %v", id, err)
+			}
+			n, err := NewNode(plat.NewEnclave([]byte(id)), ep, nil, NodeConfig{
+				Secrets:  attest.Secrets{NodeID: id, MasterKey: make([]byte, 32), Membership: []string{id}},
+				Shielded: shielded,
+			})
+			if err != nil {
+				t.Fatalf("node %s: %v", id, err)
+			}
+			if got := n.pipe.workers; got != c.want {
+				t.Errorf("GOMAXPROCS=%d shielded=%v: %d workers per stage, want %d", c.procs, shielded, got, c.want)
+			}
+			n.Discard()
 		}
 	}
 }

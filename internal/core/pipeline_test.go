@@ -69,12 +69,20 @@ func (r *gateReg) SealRoot(id string) (uint64, [32]byte, bool) {
 	return c, r.roots[id], ok
 }
 
-// TestPipelinedAckAfterGroupCommit: with the staged plane forced on and
-// durability enabled, a client PUT is not acknowledged until the replica's
-// overlapped group commit has fully completed. The registrar gate stalls
-// commits mid-flight; the ack must stall with them and arrive only after
-// release.
+// TestPipelinedAckAfterGroupCommit: with durability enabled, a client PUT
+// is not acknowledged until the replica's overlapped group commit has fully
+// completed. The registrar gate stalls commits mid-flight; the ack must
+// stall with them and arrive only after release. Native nodes route their
+// acks through the same commit stage as shielded ones.
 func TestPipelinedAckAfterGroupCommit(t *testing.T) {
+	for _, shielded := range []bool{true, false} {
+		t.Run(fmt.Sprintf("shielded=%v", shielded), func(t *testing.T) {
+			testAckAfterGroupCommit(t, shielded)
+		})
+	}
+}
+
+func testAckAfterGroupCommit(t *testing.T, shielded bool) {
 	master := make([]byte, 32)
 	master[0] = 9
 	membership := []string{"p1", "p2", "p3"}
@@ -98,9 +106,8 @@ func TestPipelinedAckAfterGroupCommit(t *testing.T) {
 					MasterKey:  master,
 					Membership: membership,
 				},
-				Shielded:        true,
-				TickEvery:       time.Millisecond,
-				PipelineWorkers: 2,
+				Shielded:  shielded,
+				TickEvery: time.Millisecond,
 				Durability: &core.DurabilityConfig{
 					Dir:       t.TempDir(),
 					Registrar: reg,
@@ -146,7 +153,7 @@ func TestPipelinedAckAfterGroupCommit(t *testing.T) {
 		ID:             "gate-client",
 		Nodes:          membership,
 		MasterKey:      master,
-		Shielded:       true,
+		Shielded:       shielded,
 		RequestTimeout: 3 * time.Second,
 	})
 	if err != nil {

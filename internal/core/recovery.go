@@ -97,22 +97,19 @@ type recovery struct {
 	done  chan error
 }
 
-// SyncFrom performs the recovery protocol's state-transfer step (§3.7): the
-// (already attested and started) node pulls the current state from peer page
-// by page, applying pages with versioned writes so concurrent live writes
-// are never rolled back. It blocks until the transfer completes or times
-// out. The node keeps participating in the protocol throughout — it is a
-// shadow replica while syncing.
-func (n *Node) SyncFrom(peer string, timeout time.Duration) error {
-	return n.SyncFromFloor(peer, 0, timeout)
-}
-
-// SyncFromFloor is SyncFrom with a version floor: the donor skips entries
-// whose version timestamp is at or below floor (tombstone floors always
-// ship). A replica that recovered its sealed local state passes its
-// RecoveredFloor, so the transfer streams only the suffix it missed while
-// down instead of the whole store — this is what makes sealed recovery
-// cheaper than state transfer at large store sizes.
+// SyncFromFloor performs the recovery protocol's state-transfer step
+// (§3.7): the (already attested and started) node pulls the current state
+// from peer page by page, applying pages with versioned writes so
+// concurrent live writes are never rolled back. It blocks until the
+// transfer completes or times out. The node keeps participating in the
+// protocol throughout — it is a shadow replica while syncing.
+//
+// The donor skips entries whose version timestamp is at or below floor
+// (tombstone floors always ship); floor 0 transfers the whole store. A
+// replica that recovered its sealed local state passes its RecoveredFloor,
+// so the transfer streams only the suffix it missed while down instead of
+// the whole store — this is what makes sealed recovery cheaper than state
+// transfer at large store sizes.
 //
 // The floor is only sound for protocols whose version timestamps are a
 // total order over all mutations (Snapshotter protocols — Raft's log
@@ -131,7 +128,7 @@ func (n *Node) SyncFromFloor(peer string, floor uint64, timeout time.Duration) e
 	n.clientMu.Unlock()
 
 	n.sendWire(peer, &Wire{Kind: KindStateReq, Index: rec.token, Key: "", Commit: floor})
-	n.flushOutbound() // SyncFrom runs outside the event loop
+	n.flushOutbound() // SyncFromFloor runs outside the event loop
 
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()

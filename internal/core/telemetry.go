@@ -12,7 +12,7 @@ import (
 // by whoever drives the client (the harness); everything here is node-side.
 const (
 	// MetricPhaseIngressVerify times the authn decode+MAC-verify of one
-	// inbound envelope (pipeline ingress worker, or inline on the loop).
+	// inbound envelope on a pipeline ingress worker.
 	MetricPhaseIngressVerify = "recipe_phase_ingress_verify_ns"
 	// MetricPhaseQueueWait times a verified message's dwell in the staged
 	// plane's verified queue before the protocol loop picks it up.
@@ -90,8 +90,8 @@ func (n *Node) initTelemetry() {
 			return float64(h)
 		})
 	}
-	// The pipeline is built after telemetry (it needs the histograms), so
-	// the depth closures must tolerate n.pipe staying nil (inline plane).
+	// The pipeline is built after telemetry (it needs the histograms); the
+	// depth closures read n.pipe only when a gauge is exported.
 	r.GaugeFunc("recipe_pipeline_depth_ingress", "ingress-stage backlog (envelopes awaiting verify)", func() float64 {
 		return float64(n.PipelineDepths().Ingress)
 	})

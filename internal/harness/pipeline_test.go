@@ -9,29 +9,13 @@ import (
 	"time"
 )
 
-// pipelinedOpts forces the staged data plane on regardless of GOMAXPROCS,
-// so these tests exercise the concurrent stages even on a single-core CI
-// machine (where PipelineWorkers=0 auto-selects the inline plane).
-func pipelinedOpts(p ProtocolKind, workers int) Options {
-	opts := fastOpts(p, true)
-	opts.PipelineWorkers = workers
-	return opts
-}
-
-// TestPipelinedClusterServesTraffic: a cluster with the staged data plane
-// forced on serves the full PUT/GET/DELETE surface with the same results as
-// the inline plane, for a leader-based and a leaderless protocol.
+// TestPipelinedClusterServesTraffic: a shielded cluster serves the full
+// PUT/GET/DELETE surface through the staged data plane, for a leader-based
+// and a leaderless protocol.
 func TestPipelinedClusterServesTraffic(t *testing.T) {
 	for _, p := range []ProtocolKind{Raft, ABD} {
 		t.Run(string(p), func(t *testing.T) {
-			c := startCluster(t, pipelinedOpts(p, 2))
-			for _, n := range c.liveNodes() {
-				staged, workers := n.Pipelined()
-				if !staged || workers != 2 {
-					t.Fatalf("node %s: Pipelined() = %v, %d; want staged with 2 workers", n.ID(), staged, workers)
-				}
-			}
-
+			c := startCluster(t, fastOpts(p, true))
 			cli, err := c.Client()
 			if err != nil {
 				t.Fatalf("Client: %v", err)
@@ -84,15 +68,14 @@ func TestPipelinedClusterServesTraffic(t *testing.T) {
 // -race this is the proof that view/epoch changes are atomic with respect to
 // in-flight stage crypto.
 func TestPipelinedChurnUnderLoad(t *testing.T) {
-	opts := pipelinedOpts(Raft, 2)
+	opts := fastOpts(Raft, true)
 	opts.Shards = 2
 	c := startCluster(t, opts)
 
-	// Pre-churn oracle, the same contract the inline plane's churn tests
-	// hold (TestResizeRacingCrashRecover): writes acknowledged in a stable
+	// Pre-churn oracle, the same contract the other churn tests hold
+	// (TestResizeRacingCrashRecover): writes acknowledged in a stable
 	// configuration survive the churn. Mid-churn acks are load, not oracle —
-	// a shrink racing a crashed source replica can lose them with the inline
-	// plane too, a property this PR neither created nor fixes.
+	// a shrink racing a crashed source replica can lose them.
 	cli0, err := c.Client()
 	if err != nil {
 		t.Fatalf("Client: %v", err)
@@ -190,7 +173,7 @@ func TestPipelinedChurnUnderLoad(t *testing.T) {
 // local state with zero lost acknowledged writes — the overlapped group
 // commit acknowledges nothing its fsync has not sealed.
 func TestPipelinedWholeGroupPowerLoss(t *testing.T) {
-	opts := pipelinedOpts(Raft, 2)
+	opts := fastOpts(Raft, true)
 	opts.Durability = true
 	c := startCluster(t, opts)
 	want := putKeys(t, c, "pwr", 150)

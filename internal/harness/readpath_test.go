@@ -225,7 +225,6 @@ loop:
 func TestLeaseChurnUnderPipelinedTraffic(t *testing.T) {
 	opts := fastOpts(Raft, true)
 	opts.LeaderLeaseTicks = 2
-	opts.PipelineWorkers = 2
 	opts.ReadPolicy = core.ReadAnyClean
 	opts.SessionCache = 16
 	c := startCluster(t, opts)

@@ -19,11 +19,10 @@ import (
 // the phases together account for a visible share of it.
 func TestPhaseTimingsExplainRoundTrip(t *testing.T) {
 	c, err := New(Options{
-		Protocol:        Raft,
-		Shielded:        true,
-		Durability:      true,
-		PipelineWorkers: 2, // force the staged plane so queue-wait records even at GOMAXPROCS=1
-		Seed:            42,
+		Protocol:   Raft,
+		Shielded:   true,
+		Durability: true,
+		Seed:       42,
 	})
 	if err != nil {
 		t.Fatal(err)

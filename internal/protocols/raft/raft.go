@@ -100,6 +100,13 @@ type Raft struct {
 	// entries accumulate and ship in the next batch (the paper's batching
 	// optimization; self-clocking pipeline per follower).
 	inflight map[string]bool
+	// sentIdx is the highest log index shipped to each follower since the
+	// last election or NACK. An OK ack below it is stale — a later
+	// AppendEntries already carries the entries past it — so the ack only
+	// records progress: it neither clears inflight nor streams. Streaming on
+	// a stale ack would re-ship the in-flight suffix, and each heartbeat
+	// would leave one more self-sustaining stream behind.
+	sentIdx map[string]uint64
 	// dirty marks entries appended by Submit since the last FlushBatch. The
 	// node event loop drains a burst of client commands and then calls
 	// FlushBatch once, so the whole burst replicates in a single
@@ -363,6 +370,7 @@ func (r *Raft) maybeWinElection() {
 	r.nextIndex = make(map[string]uint64, len(r.peers))
 	r.matchIndex = make(map[string]uint64, len(r.peers))
 	r.inflight = make(map[string]bool, len(r.peers))
+	r.sentIdx = make(map[string]uint64, len(r.peers))
 	r.leaseAcks = make(map[string]bool, len(r.peers))
 	lastIdx, _ := r.lastLog()
 	for _, p := range r.peers {
@@ -383,7 +391,9 @@ func (r *Raft) maybeWinElection() {
 
 func (r *Raft) quorum() int { return len(r.peers)/2 + 1 }
 
-// replicateAll sends AppendEntries to every follower from its nextIndex.
+// replicateAll sends AppendEntries to every follower from its nextIndex,
+// in flight or not: the heartbeat is what recovers a lost AppendEntries (or
+// its lost ack), since the follower stays marked in flight until acked.
 func (r *Raft) replicateAll() {
 	r.dirty = false // every follower is being sent its pending entries now
 	for _, p := range r.peers {
@@ -399,7 +409,7 @@ func (r *Raft) sendAppend(to string) {
 	next := r.nextIndex[to]
 	if next <= r.base {
 		// Entries at or below base are compacted. A follower that far behind
-		// recovers through Recipe's state transfer (SyncFrom installs a
+		// recovers through Recipe's state transfer (SyncFromFloor installs a
 		// snapshot); meanwhile probe from just past the base.
 		next = r.base + 1
 		r.nextIndex[to] = next
@@ -414,6 +424,9 @@ func (r *Raft) sendAppend(to string) {
 		terms = append(terms, e.term)
 	}
 	r.inflight[to] = true
+	if last := prevIdx + uint64(len(cmds)); last > r.sentIdx[to] {
+		r.sentIdx[to] = last
+	}
 	r.env.Send(to, &core.Wire{
 		Kind:   KindAppendEntries,
 		Term:   r.term,
@@ -492,7 +505,6 @@ func (r *Raft) onAppendResp(from string, m *core.Wire) {
 	if r.role != leader || m.Term != r.term {
 		return
 	}
-	r.inflight[from] = false
 	// Any same-term response (OK or not) proves this follower still treats
 	// us as the term's leader. Once a quorum of distinct followers has
 	// responded since the last renewal, the leader's own lease is fresh
@@ -519,14 +531,21 @@ func (r *Raft) onAppendResp(from string, m *core.Wire) {
 		if r.nextIndex[from] <= r.base {
 			r.nextIndex[from] = r.base + 1
 		}
+		r.sentIdx[from] = 0 // everything past nextIndex is reshipped now
 		r.sendAppend(from)
 		return
 	}
 	if m.Index > r.matchIndex[from] {
 		r.matchIndex[from] = m.Index
 	}
-	r.nextIndex[from] = m.Index + 1
+	if m.Index+1 > r.nextIndex[from] {
+		r.nextIndex[from] = m.Index + 1
+	}
 	r.advanceCommit()
+	if m.Index < r.sentIdx[from] {
+		return // stale: a later AppendEntries is still in flight
+	}
+	r.inflight[from] = false
 	// Keep streaming if the follower is behind.
 	if r.nextIndex[from] <= r.lastIndex() {
 		r.sendAppend(from)

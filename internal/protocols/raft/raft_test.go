@@ -415,3 +415,96 @@ func TestFollowerServesCleanRead(t *testing.T) {
 		t.Errorf("replica-read count = %d, want 1", got)
 	}
 }
+
+// countShipped tallies the log entries the leader ships to each follower in
+// AppendEntries, at delivery time (nothing is dropped).
+func countShipped(net *prototest.Net, leader string) map[string]int {
+	shipped := make(map[string]int)
+	net.Drop = func(s prototest.Sent) bool {
+		if s.From == leader && s.W.Kind == raft.KindAppendEntries {
+			shipped[s.To] += len(s.W.Cmds)
+		}
+		return false
+	}
+	return shipped
+}
+
+// TestStaleAcksDoNotReship: every message takes one round to arrive and a
+// tick passes every fourth round, so heartbeats interleave with in-flight
+// AppendEntries and acks arrive after later AppendEntries were sent. A stale ack must neither move nextIndex
+// back nor start another stream from it — otherwise each heartbeat leaves
+// one more self-sustaining stream behind and the leader ships every entry
+// many times over.
+func TestStaleAcksDoNotReship(t *testing.T) {
+	net := newNet(t, 3)
+	leader := electLeader(t, net)
+	shipped := countShipped(net, leader)
+	const rounds = 400
+	for i := 0; i < rounds; i++ {
+		for due := net.Pending(); due > 0; due-- {
+			net.Step()
+		}
+		net.Submit(leader, core.Command{Op: core.OpPut, Key: fmt.Sprintf("k%d", i), Value: []byte("v"), ClientID: "c", Seq: uint64(i + 1)})
+		if i%4 == 3 {
+			net.TickAll()
+		}
+	}
+	net.TickAndRun(5, 10_000)
+
+	committed := 0
+	for _, rep := range net.Envs[leader].Replies {
+		if rep.Cmd.ClientID == "c" && rep.Res.OK {
+			committed++
+		}
+	}
+	if committed != rounds {
+		t.Fatalf("committed %d of %d writes", committed, rounds)
+	}
+	for _, id := range net.Order() {
+		if id == leader {
+			continue
+		}
+		if ratio := float64(shipped[id]) / float64(committed); ratio > 1.5 {
+			t.Errorf("leader shipped %d entries to %s for %d committed (%.2f per entry, want <= 1.5)",
+				shipped[id], id, committed, ratio)
+		}
+	}
+}
+
+// TestDroppedAppendEntriesRecoveredByHeartbeat: the first entry-carrying
+// AppendEntries to every follower is lost. The followers stay marked in
+// flight, so new submissions do not ship; the next heartbeat resends from
+// nextIndex and the writes commit and reach every store.
+func TestDroppedAppendEntriesRecoveredByHeartbeat(t *testing.T) {
+	net := newNet(t, 3)
+	leader := electLeader(t, net)
+	lost := make(map[string]bool)
+	net.Drop = func(s prototest.Sent) bool {
+		if s.From == leader && s.W.Kind == raft.KindAppendEntries && len(s.W.Cmds) > 0 && !lost[s.To] {
+			lost[s.To] = true
+			return true
+		}
+		return false
+	}
+	net.Submit(leader, core.Command{Op: core.OpPut, Key: "a", Value: []byte("1"), ClientID: "c", Seq: 1})
+	net.Run(10_000)
+	net.Submit(leader, core.Command{Op: core.OpPut, Key: "b", Value: []byte("2"), ClientID: "c", Seq: 2})
+	net.Run(10_000)
+	if len(lost) != 2 {
+		t.Fatalf("dropped the first AppendEntries to %d followers, want 2", len(lost))
+	}
+	if n := len(net.Envs[leader].Replies); n != 0 {
+		t.Fatalf("%d writes acknowledged with every AppendEntries lost", n)
+	}
+	net.TickAndRun(6, 10_000)
+	if n := len(net.Envs[leader].Replies); n != 2 {
+		t.Fatalf("heartbeats recovered %d of 2 writes", n)
+	}
+	for _, id := range net.Order() {
+		for _, k := range []string{"a", "b"} {
+			if _, err := net.Envs[id].Store().Get(k); err != nil {
+				t.Errorf("%s missing %q after heartbeat recovery: %v", id, k, err)
+			}
+		}
+	}
+}

@@ -126,13 +126,6 @@ type Options struct {
 	DataDir string
 	// TickEvery overrides the protocol tick cadence.
 	TickEvery time.Duration
-	// PipelineWorkers sets each replica's staged data-plane width: how many
-	// ingress (verify/decrypt) and egress (seal/send) workers surround the
-	// single-threaded protocol core. 0 = auto (inline on a single-core
-	// machine, one worker per core up to 8 otherwise), -1 = force the
-	// inline single-threaded plane, N>=1 = exactly N workers per side.
-	// Ignored for Native clusters, which have no crypto boundary to stage.
-	PipelineWorkers int
 	// ReadPolicy selects how reads are served (default ReadLeaseLocal). See
 	// the "Read path" section of ARCHITECTURE.md for the trust argument and
 	// docs/operations.md for tuning guidance.
@@ -209,7 +202,6 @@ func newClusterWithFactory(opts Options, factory func(replica int) CustomProtoco
 		Durability:          opts.Durability,
 		DataDir:             opts.DataDir,
 		TickEvery:           opts.TickEvery,
-		PipelineWorkers:     opts.PipelineWorkers,
 		ReadPolicy:          opts.ReadPolicy,
 		SessionCache:        opts.SessionCache,
 		SelfManage:          opts.SelfManage,
@@ -489,10 +481,9 @@ func (c *Cluster) TraceEvents(node string) []telemetry.Event {
 }
 
 // PipelineDepths sums the instantaneous staged data-plane queue depths
-// across replicas (zero everywhere when the plane runs inline). These are
-// gauges: sampled under load they show which stage a saturated cluster is
-// waiting on — ingress (verify), verified (the protocol core itself),
-// egress (seal/send), or commit (WAL fsync).
+// across replicas. These are gauges: sampled under load they show which
+// stage a saturated cluster is waiting on — ingress (verify), verified (the
+// protocol core itself), egress (seal/send), or commit (WAL fsync).
 func (c *Cluster) PipelineDepths() core.PipelineDepths {
 	var d core.PipelineDepths
 	for _, id := range c.inner.Order {
