@@ -5,7 +5,8 @@
 //
 // Absolute numbers will not match the authors' SGX + 40GbE testbed — the
 // substrate here is a calibrated simulator — but the shapes do: who wins, by
-// roughly what factor, and where the crossovers fall. See EXPERIMENTS.md.
+// roughly what factor, and where the crossovers fall. See README.md,
+// "Benchmarks".
 package recipe
 
 import (
@@ -638,7 +639,8 @@ func BenchmarkShielderBatchAmortization(b *testing.B) {
 }
 
 // BenchmarkAblationAuthnLayer isolates the cost of the authentication and
-// non-equivocation layer alone (DESIGN.md ablation): same protocol, same TEE
+// non-equivocation layer alone (an ablation; see README.md, "Benchmarks"):
+// same protocol, same TEE
 // cost model, shield on/off.
 func BenchmarkAblationAuthnLayer(b *testing.B) {
 	sgx := tee.DefaultCostModel()
@@ -705,7 +707,7 @@ func BenchmarkReadScaling(b *testing.B) {
 
 // BenchmarkAblationEPCLimit varies the modelled EPC size at a fixed 4 KiB
 // value workload, showing that Fig 3's large-value slowdown is EPC pressure
-// (DESIGN.md ablation).
+// (an ablation; see README.md, "Benchmarks").
 func BenchmarkAblationEPCLimit(b *testing.B) {
 	for _, epcMB := range []int64{2, 8, 64} {
 		b.Run(fmt.Sprintf("EPC-%dMiB", epcMB), func(b *testing.B) {

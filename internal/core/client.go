@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"slices"
 	"strings"
@@ -71,19 +70,6 @@ type ClientConfig struct {
 	// is adopted, and replaced by the session's own writes. 0 disables
 	// value caching (version floors are still tracked under ReadAnyClean).
 	SessionCache int
-}
-
-// ShardOf is the historical bare-hash partitioning function: it hashes key
-// onto one of shards groups directly. The elastic shard map generalises it
-// (reconfig.Uniform agrees with it for shard counts dividing the slot
-// count); it remains for single-epoch deployments and tests.
-func ShardOf(key string, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	return int(h.Sum32() % uint32(shards))
 }
 
 // Client issues PUT/GET/DELETE commands against a Recipe cluster. It is

@@ -82,12 +82,12 @@
 //
 // Nothing in the transformation requires one replication group per
 // deployment: a sharded cluster runs N independent groups, each owning a
-// hash partition of the keyspace (ShardOf). The group dimension threads
-// through this package: nodes carry their attested group id, every Wire
-// addresses a group, channels open in per-group MAC domains (messages of
-// one group are rejected by another, counted in Stats.DropGroup), and
-// Client hashes each key to its owning group with one tracked coordinator
-// per group.
+// hash partition of the keyspace (the epoch-versioned reconfig shard map).
+// The group dimension threads through this package: nodes carry their
+// attested group id, every Wire addresses a group, channels open in
+// per-group MAC domains (messages of one group are rejected by another,
+// counted in Stats.DropGroup), and Client hashes each key to its owning
+// group with one tracked coordinator per group.
 //
 // # Durability
 //

@@ -27,8 +27,6 @@ func newMemberDriver(self string, peers []string, cfg NodeConfig) *memberDriver 
 			Self:            self,
 			Peers:           peers,
 			ProbeEveryTicks: cfg.HeartbeatEveryTicks,
-			SuspicionMult:   cfg.SuspicionMult,
-			IndirectProbes:  cfg.IndirectProbes,
 			Seed:            seed,
 		}),
 	}
@@ -157,13 +155,10 @@ type admBucket struct {
 // direction.
 const admitBucketBound = 4096
 
-func newAdmitState(rate float64, burst int) *admitState {
-	if burst <= 0 {
-		burst = int(rate / 10)
-		if burst < 1 {
-			burst = 1
-		}
-	}
+// newAdmitState arms the gate at rate ops/s per client with a bucket depth
+// of rate/10, at least 1.
+func newAdmitState(rate float64) *admitState {
+	burst := max(1, int(rate/10))
 	return &admitState{rate: rate, burst: float64(burst), buckets: make(map[string]*admBucket)}
 }
 

@@ -91,25 +91,18 @@ type NodeConfig struct {
 	// HeartbeatEveryTicks enables the SWIM failure detector: every this many
 	// event-loop ticks the node probes one peer round-robin, escalating a
 	// missing ack to indirect probes, suspicion, and declared failure (see
-	// internal/membership). 0 (the default) leaves detection off.
+	// internal/membership). A suspect not refuted within 8 probe intervals
+	// is declared failed, and a late direct ack fans out to 2 indirect
+	// relays. 0 (the default) leaves detection off.
 	HeartbeatEveryTicks int
-	// SuspicionMult bounds suspicion: a suspect not refuted within
-	// SuspicionMult probe intervals is declared failed (default 8).
-	SuspicionMult int
-	// IndirectProbes is the relay fan-out K when a direct ack is late
-	// (default 2).
-	IndirectProbes int
 	// AdmissionRate, when > 0, arms the per-client token-bucket admission
 	// gate at the coordinator: each client is admitted at most this many ops
-	// per second sustained (AdmissionBurst above it), and the gate also sheds
-	// load when the staged plane's bounded queues run near their bounds.
-	// Rejected ops get a KindBusy reply — retriable, never submitted — and
-	// count in Stats.AdmissionRejects. 0 disables the gate entirely.
+	// per second sustained, with a burst of AdmissionRate/10 (at least 1)
+	// above it, and the gate also sheds load when the staged plane's bounded
+	// queues run near their bounds. Rejected ops get a KindBusy reply —
+	// retriable, never submitted — and count in Stats.AdmissionRejects. 0
+	// disables the gate entirely.
 	AdmissionRate float64
-	// AdmissionBurst is the token-bucket capacity (default AdmissionRate/10,
-	// minimum 1): the burst a client may spend before the sustained rate
-	// applies.
-	AdmissionBurst int
 	// AdaptiveLease lets the leader widen the leader-lease duration when
 	// Stats.LeaseFallbacks shows reads missing the lease window, and narrow
 	// it back (with hysteresis) when fallbacks stop. Width moves between
@@ -324,7 +317,7 @@ func NewNode(e *tee.Enclave, tr netstack.Transport, proto Protocol, cfg NodeConf
 		n.mem = newMemberDriver(n.id, n.peers, cfg)
 	}
 	if cfg.AdmissionRate > 0 {
-		n.adm = newAdmitState(cfg.AdmissionRate, cfg.AdmissionBurst)
+		n.adm = newAdmitState(cfg.AdmissionRate)
 	}
 	if cfg.AdaptiveLease {
 		n.al = newAdaptiveLease(n.leaseDur)

@@ -73,3 +73,16 @@ func TestPipelineWorkerCountResolution(t *testing.T) {
 		}
 	}
 }
+
+// TestAdmitBurstDerivedFromRate pins the admission bucket depth: a tenth of
+// the per-client rate, and never below one token.
+func TestAdmitBurstDerivedFromRate(t *testing.T) {
+	for _, c := range []struct {
+		rate  float64
+		burst float64
+	}{{5, 1}, {50, 5}, {1000, 100}} {
+		if got := newAdmitState(c.rate).burst; got != c.burst {
+			t.Errorf("rate %v: burst %v, want %v", c.rate, got, c.burst)
+		}
+	}
+}

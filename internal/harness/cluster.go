@@ -90,8 +90,6 @@ type Options struct {
 	Injector netstack.Injector
 	// Seed makes randomized components deterministic.
 	Seed int64
-	// HostMemLimit caps per-node KV host memory (0 = unlimited).
-	HostMemLimit int64
 	// Durability gives every replica a sealed durable store (encrypted WAL +
 	// snapshots under DataDir, freshness anchored at the CAS): crashed
 	// replicas recover from local disk, whole groups survive simultaneous
@@ -111,25 +109,13 @@ type Options struct {
 	// the detectors' verdicts, auto-evicts a majority-condemned replica by
 	// republishing the CAS-signed shard map at the next epoch, and
 	// auto-repairs it (sealed local recovery + suffix state transfer + signed
-	// rejoin republish) — zero operator calls. Implies failure detection on
-	// every node (HeartbeatEveryTicks defaults to 2 when unset).
+	// rejoin republish) — zero operator calls. Every node probes one peer
+	// each 2 ticks; the supervisor retries repair every 25 ticks.
 	SelfManage bool
-	// HeartbeatEveryTicks sets each node's failure-detector probe cadence in
-	// event-loop ticks (0 with SelfManage = 2; 0 otherwise = detector off).
-	HeartbeatEveryTicks int
-	// SuspicionMult scales how long a suspected replica may refute before it
-	// is declared failed (core.NodeConfig.SuspicionMult; 0 = detector
-	// default).
-	SuspicionMult int
-	// RepairDelay is how long the supervisor waits after an eviction before
-	// attempting auto-repair (0 = 25 ticks). SetMachineDown extends it: a
-	// machine marked down is retried until it comes back.
-	RepairDelay time.Duration
 	// AdmissionRate, when > 0, arms every replica's per-client token-bucket
-	// admission gate at that many ops/s per client (overload control).
+	// admission gate at that many ops/s per client, with a burst of a tenth
+	// of that (overload control).
 	AdmissionRate float64
-	// AdmissionBurst sets the admission bucket depth (0 = rate/10, min 1).
-	AdmissionBurst int
 	// AdaptiveLease lets leaders widen the leader-lease duration under
 	// lease-fallback pressure and narrow it back when calm (bounded to
 	// [lease, 4*lease], follower-acked before the leader trusts the wider
@@ -267,12 +253,6 @@ func New(opts Options) (*Cluster, error) {
 	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
-	}
-	if opts.SelfManage && opts.HeartbeatEveryTicks <= 0 {
-		opts.HeartbeatEveryTicks = 2
-	}
-	if opts.RepairDelay <= 0 {
-		opts.RepairDelay = 25 * opts.TickEvery
 	}
 
 	fabricOpts := []netstack.FabricOption{netstack.WithStack(netstack.Stacks[opts.Stack])}
@@ -507,20 +487,22 @@ func (g *Group) buildNode(id string, resume bool) (*core.Node, error) {
 		}
 		durability = &core.DurabilityConfig{Dir: dir, Registrar: c.CAS, SnapshotEvery: c.opts.SnapshotEvery, Fresh: !resume}
 	}
+	heartbeat := 0 // failure detector off
+	if c.opts.SelfManage {
+		heartbeat = 2 // probe one peer every 2 ticks
+	}
 	node, err := core.NewNode(enclave, ep, g.newProtocol(id), core.NodeConfig{
 		Secrets:             secrets,
 		TickEvery:           c.opts.TickEvery,
 		LeaderLeaseTicks:    c.opts.LeaderLeaseTicks,
 		MaxBatch:            c.opts.MaxBatch,
-		HeartbeatEveryTicks: c.opts.HeartbeatEveryTicks,
-		SuspicionMult:       c.opts.SuspicionMult,
+		HeartbeatEveryTicks: heartbeat,
 		AdmissionRate:       c.opts.AdmissionRate,
-		AdmissionBurst:      c.opts.AdmissionBurst,
 		AdaptiveLease:       c.opts.AdaptiveLease,
 		Shielded:            c.shieldedFor(),
 		Confidential:        c.opts.Confidential,
 		ReadPolicy:          c.opts.ReadPolicy,
-		StoreConfig:         kvstore.Config{HostMemLimit: c.opts.HostMemLimit, Seed: c.opts.Seed},
+		StoreConfig:         kvstore.Config{Seed: c.opts.Seed},
 		Durability:          durability,
 		Logf:                c.opts.Logf,
 		DisableTelemetry:    c.opts.NoTelemetry,

@@ -10,8 +10,8 @@ import (
 // CAS-signed configuration. It polls the detectors' verdicts, auto-evicts a
 // majority-condemned replica by republishing the shard map at the next epoch
 // with the replica's identity removed from its group's Members (clients learn
-// the eviction exactly like a resize), and auto-repairs it after RepairDelay
-// through the normal recovery path (sealed local recovery + suffix state
+// the eviction exactly like a resize), and auto-repairs it after
+// repairDelayTicks through the normal recovery path (sealed local recovery + suffix state
 // transfer + signed rejoin republish) — zero operator calls.
 //
 // Trust argument: a single detector's verdict is hearsay — a gray (slow but
@@ -28,6 +28,11 @@ import (
 
 // repairSyncTimeout bounds the suffix state transfer of one auto-repair.
 const repairSyncTimeout = 10 * time.Second
+
+// repairDelayTicks is how many ticks the supervisor waits after an eviction
+// before each auto-repair attempt. A machine marked down (SetMachineDown) is
+// retried at this cadence until it comes back.
+const repairDelayTicks = 25
 
 // startSupervisor launches the membership supervisor goroutine.
 func (c *Cluster) startSupervisor() {
@@ -136,14 +141,15 @@ func (c *Cluster) evict(id string) {
 	}
 }
 
-// scheduleRepair retries auto-repair of an evicted replica every RepairDelay
-// until it succeeds, the machine is marked down (SetMachineDown), the mark
+// scheduleRepair retries auto-repair of an evicted replica every
+// repairDelayTicks until it succeeds, the machine is marked down (SetMachineDown), the mark
 // was cleared by a manual recovery, or the cluster stops.
 func (c *Cluster) scheduleRepair(id string) {
 	c.superWG.Add(1)
 	go func() {
 		defer c.superWG.Done()
-		timer := time.NewTimer(c.opts.RepairDelay)
+		delay := repairDelayTicks * c.opts.TickEvery
+		timer := time.NewTimer(delay)
 		defer timer.Stop()
 		for {
 			select {
@@ -166,7 +172,7 @@ func (c *Cluster) scheduleRepair(id string) {
 					c.opts.Logf("harness: repair %s: %v", id, err)
 				}
 			}
-			timer.Reset(c.opts.RepairDelay)
+			timer.Reset(delay)
 		}
 	}()
 }

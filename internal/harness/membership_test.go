@@ -208,8 +208,7 @@ func TestGrayFailureSuspectedAndEvicted(t *testing.T) {
 // both sides) and the event loop stays live throughout.
 func TestThunderingHerdAdmission(t *testing.T) {
 	opts := selfManageOpts(Raft)
-	opts.AdmissionRate = 50 // per client ops/s — far below the herd's demand
-	opts.AdmissionBurst = 5
+	opts.AdmissionRate = 50 // per client ops/s (burst 5) — far below the herd's demand
 	c := startCluster(t, opts)
 
 	victim := c.Groups[0].Order[len(c.Groups[0].Order)-1]

@@ -4,8 +4,6 @@
 //     explicitly unreliable delivery model (messages can be dropped,
 //     duplicated, delayed, reordered, tampered with, or replayed by a
 //     configurable Byzantine fault injector — the paper's untrusted network);
-//   - an eRPC-style asynchronous RPC layer (CreateRPC / RegHandler / Send /
-//     Respond / Poll) matching the paper's networking API (Table 3);
 //   - calibrated per-message cost models for the five network stacks the
 //     paper compares in Fig 6b (kernel sockets and direct I/O, native and
 //     inside a TEE, plus the shielded recipe-lib stack);

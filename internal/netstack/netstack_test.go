@@ -293,103 +293,6 @@ func TestChainInjector(t *testing.T) {
 	}
 }
 
-func TestRPCRequestResponse(t *testing.T) {
-	f := NewFabric()
-	server := NewRPC(register(t, f, "srv"))
-	client := NewRPC(register(t, f, "cli"))
-
-	server.RegHandler(1, func(from string, req []byte) []byte {
-		return append([]byte("echo:"), req...)
-	})
-
-	var got []byte
-	var gotErr error
-	if err := client.Send("srv", 1, []byte("ping"), func(resp []byte, err error) {
-		got, gotErr = resp, err
-	}); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	server.PollWait(time.Second)
-	client.PollWait(time.Second)
-	if gotErr != nil {
-		t.Fatalf("callback err: %v", gotErr)
-	}
-	if string(got) != "echo:ping" {
-		t.Errorf("resp = %q", got)
-	}
-	if client.PendingCalls() != 0 {
-		t.Errorf("pending calls = %d", client.PendingCalls())
-	}
-}
-
-func TestRPCOneWay(t *testing.T) {
-	f := NewFabric()
-	server := NewRPC(register(t, f, "srv"))
-	client := NewRPC(register(t, f, "cli"))
-	var seen [][]byte
-	server.RegHandler(2, func(from string, req []byte) []byte {
-		seen = append(seen, req)
-		return nil
-	})
-	for i := 0; i < 3; i++ {
-		if err := client.Send("srv", 2, []byte{byte(i)}, nil); err != nil {
-			t.Fatalf("Send: %v", err)
-		}
-	}
-	server.PollWait(time.Second)
-	if len(seen) != 3 {
-		t.Errorf("handled %d one-way messages, want 3", len(seen))
-	}
-}
-
-func TestRPCTimeout(t *testing.T) {
-	f := NewFabric()
-	now := time.Unix(0, 0)
-	client := NewRPC(register(t, f, "cli"),
-		WithTimeout(100*time.Millisecond),
-		WithNow(func() time.Time { return now }))
-
-	var gotErr error
-	called := false
-	if err := client.Send("nowhere", 1, nil, func(resp []byte, err error) {
-		called, gotErr = true, err
-	}); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	client.Poll()
-	if called {
-		t.Fatalf("callback fired before deadline")
-	}
-	now = now.Add(time.Second)
-	client.Poll()
-	if !called || gotErr != ErrTimeout {
-		t.Errorf("called=%v err=%v, want timeout", called, gotErr)
-	}
-}
-
-func TestRPCUnknownTypeIgnored(t *testing.T) {
-	f := NewFabric()
-	server := NewRPC(register(t, f, "srv"))
-	client := NewRPC(register(t, f, "cli"))
-	if err := client.Send("srv", 99, []byte("?"), nil); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	if n := server.PollWait(time.Second); n != 1 {
-		t.Errorf("polled %d frames, want 1", n)
-	}
-}
-
-func TestRPCGarbageFrameIgnored(t *testing.T) {
-	f := NewFabric()
-	srvEP := register(t, f, "srv")
-	server := NewRPC(srvEP)
-	cli := register(t, f, "cli")
-	if err := cli.Send("srv", []byte{1, 2, 3}); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	server.PollWait(time.Second) // must not panic
-}
-
 func TestStackModelsOrdering(t *testing.T) {
 	// Sanity: measure work of 1000 charges per stack; TEE variants must cost
 	// more than native, and recipe-lib must sit between directIO-TEE and

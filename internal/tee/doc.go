@@ -1,8 +1,9 @@
 // Package tee implements a software-simulated Trusted Execution Environment
 // with the subset of SGX-like functionality Recipe depends on: enclave
 // creation with code measurement, hardware-key derivation (EGETKEY),
-// local/remote attestation reports and quotes, sealed storage, trusted
-// monotonic counters, and a trusted lease primitive.
+// local/remote attestation reports and quotes, and a trusted lease
+// primitive. Sealed durable state lives in internal/seal, keyed from the
+// CAS-provisioned master secret and anchored at the CAS registrar.
 //
 // Fault model: enclaves are crash-only. Once an enclave has crashed every
 // operation returns ErrEnclaveCrashed; there is no way to resurrect an

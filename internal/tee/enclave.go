@@ -1,14 +1,7 @@
 package tee
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
-	"crypto/hmac"
-	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
-	"io"
-	"sync"
 	"sync/atomic"
 )
 
@@ -46,11 +39,7 @@ type Enclave struct {
 	platform    *Platform
 	id          uint64
 	measurement Measurement
-	sealKey     []byte
 	crashed     atomic.Bool
-
-	mu       sync.Mutex
-	counters map[string]uint64
 
 	// residentBytes approximates the enclave working set, feeding the EPC
 	// paging cost model.
@@ -71,8 +60,6 @@ func (p *Platform) NewEnclave(code []byte) *Enclave {
 		platform:    p,
 		id:          id,
 		measurement: m,
-		sealKey:     p.deriveKey(m, "seal"),
-		counters:    make(map[string]uint64),
 	}
 	p.mu.Lock()
 	p.enclaves[id] = e
@@ -136,50 +123,6 @@ func (e *Enclave) DeriveKey(label string) ([]byte, error) {
 	return e.platform.deriveKey(e.measurement, label), nil
 }
 
-// Seal encrypts data under the enclave's sealing key so only an enclave with
-// the same measurement on the same platform can recover it.
-func (e *Enclave) Seal(plaintext []byte) ([]byte, error) {
-	if err := e.check(); err != nil {
-		return nil, err
-	}
-	e.platform.costs.ChargeTransition()
-	return sealWithKey(e.sealKey, plaintext, e.platform.randomSrc)
-}
-
-// Unseal decrypts data previously produced by Seal on an enclave with the
-// same identity.
-func (e *Enclave) Unseal(sealed []byte) ([]byte, error) {
-	if err := e.check(); err != nil {
-		return nil, err
-	}
-	e.platform.costs.ChargeTransition()
-	return unsealWithKey(e.sealKey, sealed)
-}
-
-// CounterIncrement atomically increments the named trusted monotonic counter
-// and returns its new value. Counters start at zero; the first increment
-// returns 1. These stand in for the SGX monotonic counters the paper notes
-// are unavailable, keeping them inside the TCB.
-func (e *Enclave) CounterIncrement(name string) (uint64, error) {
-	if err := e.check(); err != nil {
-		return 0, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.counters[name]++
-	return e.counters[name], nil
-}
-
-// CounterRead returns the current value of the named trusted counter.
-func (e *Enclave) CounterRead(name string) (uint64, error) {
-	if err := e.check(); err != nil {
-		return 0, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.counters[name], nil
-}
-
 // ChargeResident adjusts the enclave's tracked working-set size and charges
 // paging cost when the working set exceeds the modelled EPC. The KV store
 // calls this when keys/metadata move in and out of the protected area.
@@ -201,51 +144,3 @@ func (e *Enclave) ChargeTransition() { e.platform.costs.ChargeTransition() }
 // ChargeConfidential charges the staging/encryption cost of moving n bytes
 // across the enclave boundary in confidential mode.
 func (e *Enclave) ChargeConfidential(n int) { e.platform.costs.ChargeConfidential(n) }
-
-// HMAC computes an HMAC-SHA256 over msg with a key known only inside the
-// enclave boundary, identified by label. It is the building block for the
-// authn layer's shielded messages.
-func (e *Enclave) HMAC(key, msg []byte) ([]byte, error) {
-	if err := e.check(); err != nil {
-		return nil, err
-	}
-	mac := hmac.New(sha256.New, key)
-	mac.Write(msg)
-	return mac.Sum(nil), nil
-}
-
-func sealWithKey(key, plaintext []byte, random io.Reader) ([]byte, error) {
-	block, err := aes.NewCipher(key[:16])
-	if err != nil {
-		return nil, fmt.Errorf("seal: %w", err)
-	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("seal: %w", err)
-	}
-	nonce := make([]byte, gcm.NonceSize())
-	if _, err := io.ReadFull(random, nonce); err != nil {
-		return nil, fmt.Errorf("seal nonce: %w", err)
-	}
-	return gcm.Seal(nonce, nonce, plaintext, nil), nil
-}
-
-func unsealWithKey(key, sealed []byte) ([]byte, error) {
-	block, err := aes.NewCipher(key[:16])
-	if err != nil {
-		return nil, fmt.Errorf("unseal: %w", err)
-	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("unseal: %w", err)
-	}
-	if len(sealed) < gcm.NonceSize() {
-		return nil, fmt.Errorf("unseal: ciphertext too short")
-	}
-	nonce, ct := sealed[:gcm.NonceSize()], sealed[gcm.NonceSize():]
-	pt, err := gcm.Open(nil, nonce, ct, nil)
-	if err != nil {
-		return nil, fmt.Errorf("unseal: %w", err)
-	}
-	return pt, nil
-}

@@ -92,39 +92,6 @@ func TestDeriveKeyBoundToMeasurement(t *testing.T) {
 	}
 }
 
-func TestSealUnsealRoundTrip(t *testing.T) {
-	p := newTestPlatform(t, "p1")
-	e := p.NewEnclave([]byte("code"))
-	secret := []byte("replication signing key material")
-	sealed, err := e.Seal(secret)
-	if err != nil {
-		t.Fatalf("Seal: %v", err)
-	}
-	if bytes.Contains(sealed, secret) {
-		t.Errorf("sealed blob contains plaintext")
-	}
-	got, err := e.Unseal(sealed)
-	if err != nil {
-		t.Fatalf("Unseal: %v", err)
-	}
-	if !bytes.Equal(got, secret) {
-		t.Errorf("Unseal = %q, want %q", got, secret)
-	}
-}
-
-func TestUnsealWrongEnclaveFails(t *testing.T) {
-	p := newTestPlatform(t, "p1")
-	e1 := p.NewEnclave([]byte("code-A"))
-	e2 := p.NewEnclave([]byte("code-B"))
-	sealed, err := e1.Seal([]byte("secret"))
-	if err != nil {
-		t.Fatalf("Seal: %v", err)
-	}
-	if _, err := e2.Unseal(sealed); err == nil {
-		t.Errorf("enclave with different measurement unsealed the blob")
-	}
-}
-
 func TestCrashedEnclaveRefusesEverything(t *testing.T) {
 	p := newTestPlatform(t, "p1")
 	e := p.NewEnclave([]byte("code"))
@@ -135,57 +102,11 @@ func TestCrashedEnclaveRefusesEverything(t *testing.T) {
 	if _, err := e.Attest(nil); err != ErrEnclaveCrashed {
 		t.Errorf("Attest after crash: err = %v, want ErrEnclaveCrashed", err)
 	}
-	if _, err := e.Seal(nil); err != ErrEnclaveCrashed {
-		t.Errorf("Seal after crash: err = %v, want ErrEnclaveCrashed", err)
+	if _, err := e.GenerateQuote(nil); err != ErrEnclaveCrashed {
+		t.Errorf("GenerateQuote after crash: err = %v, want ErrEnclaveCrashed", err)
 	}
-	if _, err := e.CounterIncrement("c"); err != ErrEnclaveCrashed {
-		t.Errorf("CounterIncrement after crash: err = %v, want ErrEnclaveCrashed", err)
-	}
-}
-
-func TestMonotonicCounters(t *testing.T) {
-	p := newTestPlatform(t, "p1")
-	e := p.NewEnclave([]byte("code"))
-	var prev uint64
-	for i := 0; i < 100; i++ {
-		v, err := e.CounterIncrement("cq-1")
-		if err != nil {
-			t.Fatalf("CounterIncrement: %v", err)
-		}
-		if v <= prev {
-			t.Fatalf("counter not monotonic: %d after %d", v, prev)
-		}
-		prev = v
-	}
-	if v, _ := e.CounterRead("cq-1"); v != 100 {
-		t.Errorf("CounterRead = %d, want 100", v)
-	}
-	if v, _ := e.CounterRead("cq-2"); v != 0 {
-		t.Errorf("independent counter = %d, want 0", v)
-	}
-}
-
-func TestCounterConcurrentIncrements(t *testing.T) {
-	p := newTestPlatform(t, "p1")
-	e := p.NewEnclave([]byte("code"))
-	const workers, each = 8, 250
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < each; i++ {
-				if _, err := e.CounterIncrement("shared"); err != nil {
-					t.Errorf("CounterIncrement: %v", err)
-					return
-				}
-			}
-		}()
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	if v, _ := e.CounterRead("shared"); v != workers*each {
-		t.Errorf("counter = %d, want %d", v, workers*each)
+	if _, err := e.DeriveKey("seal"); err != ErrEnclaveCrashed {
+		t.Errorf("DeriveKey after crash: err = %v, want ErrEnclaveCrashed", err)
 	}
 }
 

@@ -142,22 +142,16 @@ type Options struct {
 	// majority-condemned replica by publishing a new CAS-signed shard map —
 	// clients learn the eviction like any reconfiguration — then auto-repairs
 	// it (sealed local recovery + suffix state transfer + signed rejoin
-	// republish) with zero operator calls. See ARCHITECTURE.md, "Membership &
-	// health".
+	// republish) with zero operator calls. Replicas probe a peer every 2
+	// ticks; see ARCHITECTURE.md, "Membership & health", and
+	// docs/operations.md for the fixed timings.
 	SelfManage bool
-	// HeartbeatEveryTicks sets the failure-detector probe cadence in ticks
-	// (0 with SelfManage = every 2 ticks; 0 otherwise = detector off).
-	HeartbeatEveryTicks int
-	// SuspicionMult scales how long a suspected replica may refute its
-	// suspicion before being declared failed (0 = default).
-	SuspicionMult int
 	// AdmissionRate, when > 0, arms each replica's per-client token-bucket
-	// admission gate at that many ops/s per client. Shed operations receive
-	// a distinguishable retriable "busy" reply (clients back off with full
-	// jitter and retry) and count in SecurityStats.AdmissionRejects.
+	// admission gate at that many ops/s per client, with a burst of a tenth
+	// of that (at least 1). Shed operations receive a distinguishable
+	// retriable "busy" reply (clients back off with full jitter and retry)
+	// and count in SecurityStats.AdmissionRejects.
 	AdmissionRate float64
-	// AdmissionBurst sets the admission bucket depth (0 = rate/10, min 1).
-	AdmissionBurst int
 	// AdaptiveLease lets coordinators widen the leader lease under
 	// lease-fallback pressure and narrow it back when calm (bounded,
 	// follower-acknowledged; see docs/operations.md for tuning).
@@ -194,24 +188,21 @@ func NewCluster(opts Options) (*Cluster, error) {
 
 func newClusterWithFactory(opts Options, factory func(replica int) CustomProtocol) (*Cluster, error) {
 	hOpts := harness.Options{
-		Protocol:            harness.ProtocolKind(opts.Protocol),
-		Nodes:               opts.Nodes,
-		Shards:              opts.Shards,
-		Shielded:            !opts.Native,
-		Confidential:        opts.Confidential,
-		Durability:          opts.Durability,
-		DataDir:             opts.DataDir,
-		TickEvery:           opts.TickEvery,
-		ReadPolicy:          opts.ReadPolicy,
-		SessionCache:        opts.SessionCache,
-		SelfManage:          opts.SelfManage,
-		HeartbeatEveryTicks: opts.HeartbeatEveryTicks,
-		SuspicionMult:       opts.SuspicionMult,
-		AdmissionRate:       opts.AdmissionRate,
-		AdmissionBurst:      opts.AdmissionBurst,
-		AdaptiveLease:       opts.AdaptiveLease,
-		NoTelemetry:         opts.NoTelemetry,
-		Seed:                opts.Seed,
+		Protocol:      harness.ProtocolKind(opts.Protocol),
+		Nodes:         opts.Nodes,
+		Shards:        opts.Shards,
+		Shielded:      !opts.Native,
+		Confidential:  opts.Confidential,
+		Durability:    opts.Durability,
+		DataDir:       opts.DataDir,
+		TickEvery:     opts.TickEvery,
+		ReadPolicy:    opts.ReadPolicy,
+		SessionCache:  opts.SessionCache,
+		SelfManage:    opts.SelfManage,
+		AdmissionRate: opts.AdmissionRate,
+		AdaptiveLease: opts.AdaptiveLease,
+		NoTelemetry:   opts.NoTelemetry,
+		Seed:          opts.Seed,
 	}
 	if opts.Protocol == "" {
 		hOpts.Protocol = harness.Raft
@@ -371,7 +362,7 @@ type SecurityStats struct {
 	// Cluster.PipelineDepths for which one.
 	PipelineStalls uint64
 	// Suspicions counts peers newly suspected by the failure detectors
-	// (SelfManage / HeartbeatEveryTicks): each is a replica that missed its
+	// (SelfManage): each is a replica that missed its
 	// probe window, direct and indirect, and entered the refutation grace.
 	Suspicions uint64
 	// Evictions counts own-group member removals observed in adopted shard
