@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"recipe/internal/codec"
 )
 
 func batchOf(n int) []BatchItem {
@@ -235,10 +237,17 @@ func TestBatchOnLooseChannel(t *testing.T) {
 }
 
 func TestBatchBodyCodecBounds(t *testing.T) {
-	// A tiny body claiming a huge count must fail fast without allocating.
-	body := []byte{0x7f, 0xff, 0xff, 0xff, 0, 0}
-	if _, err := decodeBatchBody(nil, body); err == nil {
-		t.Errorf("oversized count accepted")
+	// A tiny body claiming more items than its bytes could hold must be
+	// rejected by the count bound — not by a later truncation — before
+	// anything is allocated for the items.
+	for _, n := range []uint64{2, 127, 1 << 20, 1 << 40} {
+		body := append(codec.AppendUvarint(nil, n), 1, 0) // room for one item
+		if _, err := decodeBatchBody(nil, body); !errors.Is(err, codec.ErrOversized) {
+			t.Errorf("count %d: err = %v, want the count bound (ErrOversized)", n, err)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { decodeBatchBody(nil, body) }); allocs > 4 {
+			t.Errorf("count %d: hostile decode made %v allocations", n, allocs)
+		}
 	}
 	items := batchOf(3)
 	enc := appendBatchBody(nil, items)

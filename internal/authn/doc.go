@@ -27,6 +27,26 @@
 // replay protection, gap buffering, and loose channels behave exactly as
 // they do for N individual envelopes.
 //
+// # Envelope format
+//
+// An encoded envelope is the authenticated header followed by the
+// length-prefixed payload and MAC:
+//
+//	tag view epoch seq kind group channel | payload mac
+//
+// The tag byte is 0xA0 with the Enc and Batch flag bits below it, so every
+// envelope starts with a byte in 0xA0–0xA3: disjoint from a core.Wire's
+// flags byte (0–7) and from the 0x52 that opens a netstack multiframe
+// packet, which lets receivers tell the formats apart by their first byte.
+// Every integer is a canonical varint and the channel name carries a varint
+// length (internal/codec). The MAC covers exactly header||payload. A batch
+// body is [count]([kind][payload])* in the same encoding.
+//
+// Verify recomputes the MAC over the header re-encoded from the parsed
+// fields, so DecodeEnvelopeInto must be canonical: it rejects padded
+// varints, unknown tag bits, out-of-range kinds and groups, and trailing
+// bytes. Otherwise two distinct byte strings would verify as one header.
+//
 // # Group domains
 //
 // In a sharded deployment every channel is opened in a replication-group

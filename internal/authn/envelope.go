@@ -2,10 +2,10 @@ package authn
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"recipe/internal/bufpool"
+	"recipe/internal/codec"
 )
 
 // Envelope is the wire format of a shielded message: the sequence tuple
@@ -30,24 +30,20 @@ type Envelope struct {
 	MAC     []byte
 }
 
-// Codec errors.
-var (
-	// ErrTruncated is returned when decoding runs out of bytes.
-	ErrTruncated = errors.New("authn: truncated envelope")
-	// ErrOversized is returned when a length field exceeds sane bounds.
-	ErrOversized = errors.New("authn: oversized envelope field")
-)
-
-const maxFieldLen = 64 << 20 // 64 MiB cap on any single field
-
-// flag bits of the envelope's flags byte.
+// flag bits of the envelope's tag byte.
 const (
 	flagEnc   byte = 1 << iota // payload is AES-GCM encrypted
 	flagBatch                  // payload is a batch body (counter range)
 )
 
-func (e *Envelope) flags() byte {
-	var b byte
+// envTag fills the high bits of an envelope's first byte, above the flag
+// bits: every envelope starts with a byte in 0xA0–0xA3. core.Wire starts
+// with its flags byte (0–7) and a netstack multiframe packet with 0x52, so
+// the first byte alone tells the three formats apart.
+const envTag byte = 0xA0
+
+func (e *Envelope) tag() byte {
+	b := envTag
 	if e.Enc {
 		b |= flagEnc
 	}
@@ -57,49 +53,55 @@ func (e *Envelope) flags() byte {
 	return b
 }
 
-// headerSize is the fixed part of the authenticated header; the channel name
-// follows it.
-const headerSize = 8 + 8 + 8 + 2 + 1 + 4 + 2
+// maxHeaderSize bounds the authenticated header apart from the channel
+// name: the tag byte and six varints (view, epoch, seq, kind, group, and
+// the channel-name length). Channels size their header scratch with it.
+const maxHeaderSize = 1 + 6*binary.MaxVarintLen64
 
-// appendHeader serialises the authenticated header fields into buf. The MAC
-// covers exactly header||payload, so any header tampering — including
-// flipping the batch flag or rewriting the group or epoch — invalidates the
-// MAC. Covering the group binds every envelope to its shard's MAC domain: a
-// valid shard-A envelope carried into shard B fails the receiver's group
-// check, and an envelope whose group field was rewritten fails the MAC.
-// Covering the epoch binds it to one configuration: traffic captured before
-// a reconfiguration cannot be replayed after it (the receiver rejects the
-// stale epoch, and an attacker cannot rewrite the field without breaking the
-// MAC).
+// appendHeader serialises the authenticated header into buf:
+//
+//	tag view epoch seq kind group channel
+//
+// with every integer a canonical varint (internal/codec) and the channel
+// name length-prefixed. The MAC covers exactly header||payload, so any
+// header tampering — including flipping the batch flag or rewriting the
+// group or epoch — invalidates the MAC. Verify recomputes the MAC over the
+// header re-encoded from the parsed fields, which is sound only because the
+// decoder is canonical: it rejects padded varints, so no second byte string
+// parses to the same header. Covering the group binds every envelope to its
+// shard's MAC domain: a valid shard-A envelope carried into shard B fails
+// the receiver's group check, and an envelope whose group field was
+// rewritten fails the MAC. Covering the epoch binds it to one
+// configuration: traffic captured before a reconfiguration cannot be
+// replayed after it (the receiver rejects the stale epoch, and an attacker
+// cannot rewrite the field without breaking the MAC).
 func (e *Envelope) appendHeader(buf []byte) []byte {
-	buf = binary.BigEndian.AppendUint64(buf, e.View)
-	buf = binary.BigEndian.AppendUint64(buf, e.Epoch)
-	buf = binary.BigEndian.AppendUint64(buf, e.Seq)
-	buf = binary.BigEndian.AppendUint16(buf, e.Kind)
-	buf = append(buf, e.flags())
-	buf = binary.BigEndian.AppendUint32(buf, e.Group)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(e.Channel)))
-	buf = append(buf, e.Channel...)
-	return buf
+	buf = append(buf, e.tag())
+	buf = codec.AppendUvarint(buf, e.View)
+	buf = codec.AppendUvarint(buf, e.Epoch)
+	buf = codec.AppendUvarint(buf, e.Seq)
+	buf = codec.AppendUvarint(buf, uint64(e.Kind))
+	buf = codec.AppendUvarint(buf, uint64(e.Group))
+	return codec.AppendString(buf, e.Channel)
 }
 
 // EncodedSize returns the exact length of the encoded envelope, so callers
 // can size a reused or pooled buffer before AppendTo.
 func (e *Envelope) EncodedSize() int {
-	return headerSize + len(e.Channel) + 4 + len(e.Payload) + 4 + len(e.MAC)
+	return 1 + codec.UvarintSize(e.View) + codec.UvarintSize(e.Epoch) +
+		codec.UvarintSize(e.Seq) + codec.UvarintSize(uint64(e.Kind)) +
+		codec.UvarintSize(uint64(e.Group)) + codec.BytesSize(len(e.Channel)) +
+		codec.BytesSize(len(e.Payload)) + codec.BytesSize(len(e.MAC))
 }
 
-// AppendTo serialises the envelope for transport, appending to buf and
-// returning the extended slice. It is the allocation-free encoder of the hot
-// path: with a reused buffer of sufficient capacity it performs no heap
-// allocation.
+// AppendTo serialises the envelope for transport — the header, then the
+// length-prefixed payload and MAC — appending to buf and returning the
+// extended slice. It is the allocation-free encoder of the hot path: with a
+// reused buffer of sufficient capacity it performs no heap allocation.
 func (e *Envelope) AppendTo(buf []byte) []byte {
 	buf = e.appendHeader(buf)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.Payload)))
-	buf = append(buf, e.Payload...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.MAC)))
-	buf = append(buf, e.MAC...)
-	return buf
+	buf = codec.AppendBytes(buf, e.Payload)
+	return codec.AppendBytes(buf, e.MAC)
 }
 
 // DecodeEnvelopeInto parses an envelope from wire bytes without copying:
@@ -107,25 +109,24 @@ func (e *Envelope) AppendTo(buf []byte) []byte {
 // unmodified for as long as it uses the envelope (buffered out-of-order
 // envelopes retain it until delivered). All length fields remain
 // bounds-checked against the actual buffer, so hostile input cannot force
-// large allocations or out-of-range reads.
+// large allocations or out-of-range reads, and non-minimal varints are
+// rejected (see appendHeader).
 func DecodeEnvelopeInto(e *Envelope, data []byte) error {
-	r := reader{buf: data}
-	e.View = r.uint64()
-	e.Epoch = r.uint64()
-	e.Seq = r.uint64()
-	e.Kind = r.uint16()
-	fl := r.byte()
-	e.Enc = fl&flagEnc != 0
-	e.Batch = fl&flagBatch != 0
-	e.Group = r.uint32()
-	e.Channel = string(r.view(int(r.uint16())))
-	e.Payload = r.view(int(r.uint32()))
-	e.MAC = r.view(int(r.uint32()))
-	if r.err != nil {
-		return fmt.Errorf("decode envelope: %w", r.err)
+	r := codec.NewReader(data)
+	tag := r.Byte()
+	if tag&^(flagEnc|flagBatch) != envTag {
+		return fmt.Errorf("decode envelope: bad tag %#x", tag)
 	}
-	if r.pos != len(data) {
-		return fmt.Errorf("decode envelope: %d trailing bytes", len(data)-r.pos)
+	e.Enc = tag&flagEnc != 0
+	e.Batch = tag&flagBatch != 0
+	r.Uvarints(&e.View, &e.Epoch, &e.Seq)
+	e.Kind = r.Uint16()
+	e.Group = r.Uint32()
+	e.Channel = r.String()
+	e.Payload = r.View()
+	e.MAC = r.View()
+	if err := r.Finish(); err != nil {
+		return fmt.Errorf("decode envelope: %w", err)
 	}
 	return nil
 }
@@ -136,26 +137,27 @@ type BatchItem struct {
 	Payload []byte
 }
 
-// minBatchItemLen is the smallest encoded BatchItem: kind (2) + length (4).
-const minBatchItemLen = 6
+// minBatchItemLen is the smallest encoded BatchItem: a one-byte kind and a
+// one-byte length.
+const minBatchItemLen = 2
 
 // batchBodySize returns the encoded size of a batch body, for pooled-buffer
 // sizing.
 func batchBodySize(items []BatchItem) int {
-	size := 4
+	size := codec.UvarintSize(uint64(len(items)))
 	for i := range items {
-		size += minBatchItemLen + len(items[i].Payload)
+		size += codec.UvarintSize(uint64(items[i].Kind)) + codec.BytesSize(len(items[i].Payload))
 	}
 	return size
 }
 
-// appendBatchBody serialises N items: [count][kind][len][payload]...
+// appendBatchBody serialises N items: [count]([kind][payload])... with
+// varint counts, kinds and lengths.
 func appendBatchBody(buf []byte, items []BatchItem) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(items)))
+	buf = codec.AppendUvarint(buf, uint64(len(items)))
 	for i := range items {
-		buf = binary.BigEndian.AppendUint16(buf, items[i].Kind)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(items[i].Payload)))
-		buf = append(buf, items[i].Payload...)
+		buf = codec.AppendUvarint(buf, uint64(items[i].Kind))
+		buf = codec.AppendBytes(buf, items[i].Payload)
 	}
 	return buf
 }
@@ -168,92 +170,23 @@ func getBatchBody(items []BatchItem) []byte {
 }
 
 // decodeBatchBody parses a batch body, appending the items to dst (reusing
-// its capacity). Item payloads alias data. The count's preallocation is
-// bounded by what the buffer could actually hold, so a corrupt count cannot
-// force a large allocation.
+// its capacity). Item payloads alias data. The count is bounded by what the
+// buffer could actually hold, so a corrupt count cannot force a large
+// allocation.
 func decodeBatchBody(dst []BatchItem, data []byte) ([]BatchItem, error) {
-	r := reader{buf: data}
-	n := int(r.uint32())
-	if n <= 0 {
-		return nil, fmt.Errorf("decode batch: bad item count %d", n)
-	}
-	if n > (len(data)-4)/minBatchItemLen {
-		return nil, fmt.Errorf("decode batch: %w", ErrTruncated)
+	r := codec.NewReader(data)
+	n := r.Count(minBatchItemLen)
+	if r.Err() == nil && n == 0 {
+		return nil, fmt.Errorf("decode batch: empty batch")
 	}
 	for i := 0; i < n; i++ {
 		var it BatchItem
-		it.Kind = r.uint16()
-		it.Payload = r.view(int(r.uint32()))
+		it.Kind = r.Uint16()
+		it.Payload = r.View()
 		dst = append(dst, it)
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("decode batch: %w", r.err)
-	}
-	if r.pos != len(data) {
-		return nil, fmt.Errorf("decode batch: %d trailing bytes", len(data)-r.pos)
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("decode batch: %w", err)
 	}
 	return dst, nil
-}
-
-// reader is a bounds-checked sequential decoder. After any failure all
-// subsequent reads return zero values and err is set.
-type reader struct {
-	buf []byte
-	pos int
-	err error
-}
-
-func (r *reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || n > maxFieldLen {
-		r.err = ErrOversized
-		return nil
-	}
-	if r.pos+n > len(r.buf) {
-		r.err = ErrTruncated
-		return nil
-	}
-	b := r.buf[r.pos : r.pos+n]
-	r.pos += n
-	return b
-}
-
-func (r *reader) uint64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (r *reader) uint32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (r *reader) uint16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
-func (r *reader) byte() byte {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-// view returns n bytes of the buffer without copying (callers own the
-// aliasing contract).
-func (r *reader) view(n int) []byte {
-	return r.take(n)
 }

@@ -225,14 +225,14 @@ func (s *Shielder) open(cq string, key []byte, group uint32, loose bool) error {
 		key:   k,
 		aead:  sendAEAD,
 		mac:   hmac.New(sha256.New, k),
-		hdr:   make([]byte, 0, headerSize+len(cq)),
+		hdr:   make([]byte, 0, maxHeaderSize+len(cq)),
 		group: group,
 	}
 	s.recv[cq] = &recvState{
 		key:       k,
 		aead:      recvAEAD,
 		mac:       hmac.New(sha256.New, k),
-		hdr:       make([]byte, 0, headerSize+len(cq)),
+		hdr:       make([]byte, 0, maxHeaderSize+len(cq)),
 		sum:       make([]byte, 0, macLen),
 		group:     group,
 		loose:     loose,

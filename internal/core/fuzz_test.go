@@ -1,9 +1,10 @@
 package core
 
 import (
-	"encoding/binary"
+	"errors"
 	"testing"
 
+	"recipe/internal/codec"
 	"recipe/internal/kvstore"
 )
 
@@ -28,11 +29,9 @@ func fuzzSeeds() [][]byte {
 	for _, w := range wires {
 		seeds = append(seeds, w.Encode())
 	}
-	// The PR-1 prealloc bug: a tiny packet whose Cmds count claims 1<<20
-	// entries used to allocate ~90 MB before failing to decode.
-	hostile := (&Wire{}).Encode()
-	binary.BigEndian.PutUint32(hostile[len(hostile)-4:], 1<<20)
-	seeds = append(seeds, hostile)
+	// The prealloc bug: a tiny packet whose Cmds count claims 1<<20 entries
+	// used to allocate ~90 MB before failing to decode.
+	seeds = append(seeds, hostileCmdCount(1<<20))
 	return seeds
 }
 
@@ -54,34 +53,46 @@ func FuzzDecodeWire(f *testing.F) {
 	})
 }
 
-// TestDecodeWireHostileCmdCount is the non-fuzz regression for the bounded
-// preallocation: the hostile count must be rejected without allocating.
-func TestDecodeWireHostileCmdCount(t *testing.T) {
+// hostileCmdCount encodes an empty Wire whose Cmds count claims n entries
+// with no bytes behind it. The empty Wire ends in its one-byte zero count,
+// which is swapped for the varint n.
+func hostileCmdCount(n uint64) []byte {
 	pkt := (&Wire{}).Encode()
-	binary.BigEndian.PutUint32(pkt[len(pkt)-4:], 1<<20)
-	before := testing.AllocsPerRun(10, func() {
-		if _, err := DecodeWire(pkt); err == nil {
-			t.Errorf("hostile count decoded")
+	return codec.AppendUvarint(pkt[:len(pkt)-1], n)
+}
+
+// TestDecodeWireHostileCmdCount is the non-fuzz regression for the bounded
+// preallocation: the hostile count must be rejected by the count bound —
+// not by a parse error elsewhere — without allocating for it.
+func TestDecodeWireHostileCmdCount(t *testing.T) {
+	for _, n := range []uint64{2, 1 << 20, 1 << 21, 1<<64 - 1} {
+		pkt := hostileCmdCount(n)
+		if _, err := DecodeWire(pkt); !errors.Is(err, codec.ErrOversized) {
+			t.Errorf("count %d: err = %v, want the count bound (ErrOversized)", n, err)
 		}
-	})
-	// A handful of small allocations (error wrapping) are fine; a ~90 MB
-	// slice is not. AllocsPerRun counts allocations, so guard the count and
-	// separately ensure the decode fails fast.
-	if before > 16 {
-		t.Errorf("hostile decode made %v allocations", before)
+		// A handful of small allocations (error wrapping) are fine; a
+		// ~90 MB slice is not.
+		if allocs := testing.AllocsPerRun(10, func() { DecodeWire(pkt) }); allocs > 16 {
+			t.Errorf("count %d: hostile decode made %v allocations", n, allocs)
+		}
 	}
-	// Oversized beyond the hard cap still reports ErrWireOversized.
-	binary.BigEndian.PutUint32(pkt[len(pkt)-4:], 1<<21)
-	if _, err := DecodeWire(pkt); err == nil {
-		t.Errorf("oversized count decoded")
+	// The same packet with the count it can hold decodes.
+	if _, err := DecodeWire(hostileCmdCount(0)); err != nil {
+		t.Errorf("zero count: %v", err)
 	}
 }
 
-// TestDecodeStatePageHostileCount mirrors the same bound for state pages.
+// TestDecodeStatePageHostileCount mirrors the same bound for state pages:
+// the entry count leads the page.
 func TestDecodeStatePageHostileCount(t *testing.T) {
-	pkt := encodeStatePage(nil, "", true, nil)
-	binary.BigEndian.PutUint32(pkt[:4], 1<<20)
-	if _, _, _, _, err := decodeStatePage(pkt); err == nil {
-		t.Errorf("hostile state-page count decoded")
+	tail := encodeStatePage(nil, "", true, nil)[1:] // drop the zero count
+	for _, n := range []uint64{1, 1 << 20, 1 << 21} {
+		pkt := append(codec.AppendUvarint(nil, n), tail...)
+		if _, _, _, _, err := decodeStatePage(pkt); !errors.Is(err, codec.ErrOversized) {
+			t.Errorf("count %d: err = %v, want the count bound (ErrOversized)", n, err)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { decodeStatePage(pkt) }); allocs > 16 {
+			t.Errorf("count %d: hostile decode made %v allocations", n, allocs)
+		}
 	}
 }

@@ -1,12 +1,12 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
 	"time"
 
+	"recipe/internal/codec"
 	"recipe/internal/kvstore"
 	"recipe/internal/reconfig"
 )
@@ -26,65 +26,47 @@ type stateEntry struct {
 	Deleted bool
 }
 
-// encodeStatePage serialises a page:
-// [count][entries...][next key][done][sidecar]. The sidecar (protocol side
-// state, see StateSidecar) is only non-empty on the final page.
+// encodeStatePage serialises a page in the canonical-varint encoding of
+// internal/codec: [count][entries...][next key][done][sidecar], each entry
+// [deleted][key][value][version.TS][version.Writer]. The sidecar (protocol
+// side state, see StateSidecar) is only non-empty on the final page.
 func encodeStatePage(entries []stateEntry, next string, done bool, sidecar []byte) []byte {
 	buf := make([]byte, 0, 64+len(sidecar))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(entries)))
+	buf = codec.AppendUvarint(buf, uint64(len(entries)))
 	for _, e := range entries {
-		if e.Deleted {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-		buf = appendString(buf, e.Key)
-		buf = appendBytes(buf, e.Value)
-		buf = binary.BigEndian.AppendUint64(buf, e.Version.TS)
-		buf = binary.BigEndian.AppendUint64(buf, e.Version.Writer)
+		buf = codec.AppendBool(buf, e.Deleted)
+		buf = codec.AppendString(buf, e.Key)
+		buf = codec.AppendBytes(buf, e.Value)
+		buf = codec.AppendUvarint(buf, e.Version.TS)
+		buf = codec.AppendUvarint(buf, e.Version.Writer)
 	}
-	buf = appendString(buf, next)
-	if done {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = appendBytes(buf, sidecar)
-	return buf
+	buf = codec.AppendString(buf, next)
+	buf = codec.AppendBool(buf, done)
+	return codec.AppendBytes(buf, sidecar)
 }
 
-// decodeStatePage parses a page.
+// minEncodedStateEntry is the smallest encoded entry: the deleted flag, two
+// one-byte length prefixes, and two one-byte version words.
+const minEncodedStateEntry = 5
+
+// decodeStatePage parses a page. The entry count is bounded by the input
+// before the entries are allocated.
 func decodeStatePage(data []byte) (entries []stateEntry, next string, done bool, sidecar []byte, err error) {
-	d := decoder{buf: data}
-	n := int(d.uint32())
-	if n > 1<<20 {
-		return nil, "", false, nil, ErrWireOversized
+	r := codec.NewReader(data)
+	entries = make([]stateEntry, r.Count(minEncodedStateEntry))
+	for i := range entries {
+		e := &entries[i]
+		e.Deleted = r.Bool()
+		e.Key = r.String()
+		e.Value = r.Bytes()
+		e.Version.TS = r.Uvarint()
+		e.Version.Writer = r.Uvarint()
 	}
-	// Bound the preallocation by the buffer: each entry encodes to at least
-	// a flag byte, two length prefixes, and two version words (25 bytes).
-	if rem := len(data) - d.pos; n > rem/25 {
-		return nil, "", false, nil, fmt.Errorf("decode state page: %w", ErrWireTruncated)
-	}
-	entries = make([]stateEntry, 0, n)
-	for i := 0; i < n; i++ {
-		var e stateEntry
-		switch b := d.byte(); b {
-		case 0, 1:
-			e.Deleted = b == 1
-		default:
-			return nil, "", false, nil, fmt.Errorf("decode state page: bad entry flag %#x", b)
-		}
-		e.Key = d.string()
-		e.Value = d.bytes()
-		e.Version.TS = d.uint64()
-		e.Version.Writer = d.uint64()
-		entries = append(entries, e)
-	}
-	next = d.string()
-	done = d.byte() == 1
-	sidecar = d.bytes()
-	if d.err != nil {
-		return nil, "", false, nil, fmt.Errorf("decode state page: %w", d.err)
+	next = r.String()
+	done = r.Bool()
+	sidecar = r.Bytes()
+	if err := r.Finish(); err != nil {
+		return nil, "", false, nil, fmt.Errorf("decode state page: %w", err)
 	}
 	return entries, next, done, sidecar, nil
 }

@@ -1,10 +1,9 @@
 package core
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 
+	"recipe/internal/codec"
 	"recipe/internal/kvstore"
 )
 
@@ -104,6 +103,25 @@ const (
 // Wire is the single message shape shared by all protocols in this
 // repository. Using one generic message keeps the codec small; each protocol
 // uses the subset of fields it needs. Kind dispatches handling.
+//
+// The encoding (internal/codec) is canonical varints throughout:
+//
+//	flags kind group epoch term index commit ts.TS ts.Writer from key value
+//	[cmd] ncmds cmds... [res]
+//
+// The flags byte comes first and carries only the bits flagOK, flagCmd and
+// flagRes, so a Wire always starts with a byte in 0–7. That range is
+// disjoint from the authn envelope's first byte (0xA0–0xA3) and from the
+// netstack multiframe magic's 0x52, which keeps the three formats
+// distinguishable by their first byte. Integers are unsigned varints (kind,
+// group and every uint64 field), strings and byte slices carry a varint
+// length, and the optional sections appear only when their flag is set:
+//
+//	Command: op(1 byte) seq key value clientID clientAddr
+//	Result:  ok(0|1) version.TS version.Writer err value
+//
+// Decoding rejects non-minimal varints, unknown flag bits and trailing
+// bytes, so a message decodes only if it re-encodes to the same bytes.
 type Wire struct {
 	Kind   uint16
 	Group  uint32 // replication group (shard) the message addresses
@@ -121,19 +139,9 @@ type Wire struct {
 	Res    *Result
 }
 
-// codec errors.
-var (
-	// ErrWireTruncated reports an undecodable wire message.
-	ErrWireTruncated = errors.New("core: truncated wire message")
-	// ErrWireOversized reports an implausible length field.
-	ErrWireOversized = errors.New("core: oversized wire field")
-)
-
-const maxWireField = 64 << 20
-
-// minEncodedCommand is the smallest encoded Command: op (1), four length
-// prefixes (4 each), and the sequence number (8).
-const minEncodedCommand = 25
+// minEncodedCommand is the smallest encoded Command: op (1), four one-byte
+// length prefixes, and a one-byte sequence number.
+const minEncodedCommand = 6
 
 // flag bits for optional Wire fields.
 const (
@@ -145,23 +153,28 @@ const (
 // EncodedSize returns the exact encoded length of the message, so callers
 // can size a reused or pooled buffer before AppendTo.
 func (w *Wire) EncodedSize() int {
-	// kind + flags + group + epoch + 5 fixed uint64 + the length prefixes of
-	// From, Key, Value, and the Cmds count.
-	size := 2 + 1 + 4 + 8 + 5*8 + 4*4 + len(w.From) + len(w.Key) + len(w.Value)
+	size := 1 + codec.UvarintSize(uint64(w.Kind)) + codec.UvarintSize(uint64(w.Group)) +
+		codec.UvarintSize(w.Epoch) + codec.BytesSize(len(w.From)) +
+		codec.UvarintSize(w.Term) + codec.UvarintSize(w.Index) + codec.UvarintSize(w.Commit) +
+		codec.UvarintSize(w.TS.TS) + codec.UvarintSize(w.TS.Writer) +
+		codec.BytesSize(len(w.Key)) + codec.BytesSize(len(w.Value)) +
+		codec.UvarintSize(uint64(len(w.Cmds)))
 	if w.Cmd != nil {
 		size += encodedCommandSize(w.Cmd)
 	}
 	for i := range w.Cmds {
 		size += encodedCommandSize(&w.Cmds[i])
 	}
-	if w.Res != nil {
-		size += 1 + 4 + len(w.Res.Err) + 4 + len(w.Res.Value) + 16
+	if r := w.Res; r != nil {
+		size += 1 + codec.BytesSize(len(r.Err)) + codec.BytesSize(len(r.Value)) +
+			codec.UvarintSize(r.Version.TS) + codec.UvarintSize(r.Version.Writer)
 	}
 	return size
 }
 
 func encodedCommandSize(c *Command) int {
-	return minEncodedCommand + len(c.Key) + len(c.Value) + len(c.ClientID) + len(c.ClientAddr)
+	return 1 + codec.BytesSize(len(c.Key)) + codec.BytesSize(len(c.Value)) +
+		codec.BytesSize(len(c.ClientID)) + codec.BytesSize(len(c.ClientAddr)) + codec.UvarintSize(c.Seq)
 }
 
 // Encode serialises the message into a fresh buffer.
@@ -184,216 +197,89 @@ func (w *Wire) AppendTo(buf []byte) []byte {
 	if w.Res != nil {
 		flags |= flagRes
 	}
-	buf = binary.BigEndian.AppendUint16(buf, w.Kind)
 	buf = append(buf, flags)
-	buf = binary.BigEndian.AppendUint32(buf, w.Group)
-	buf = binary.BigEndian.AppendUint64(buf, w.Epoch)
-	buf = appendString(buf, w.From)
-	buf = binary.BigEndian.AppendUint64(buf, w.Term)
-	buf = binary.BigEndian.AppendUint64(buf, w.Index)
-	buf = binary.BigEndian.AppendUint64(buf, w.Commit)
-	buf = binary.BigEndian.AppendUint64(buf, w.TS.TS)
-	buf = binary.BigEndian.AppendUint64(buf, w.TS.Writer)
-	buf = appendString(buf, w.Key)
-	buf = appendBytes(buf, w.Value)
+	buf = codec.AppendUvarint(buf, uint64(w.Kind))
+	buf = codec.AppendUvarint(buf, uint64(w.Group))
+	buf = codec.AppendUvarint(buf, w.Epoch)
+	buf = codec.AppendUvarint(buf, w.Term)
+	buf = codec.AppendUvarint(buf, w.Index)
+	buf = codec.AppendUvarint(buf, w.Commit)
+	buf = codec.AppendUvarint(buf, w.TS.TS)
+	buf = codec.AppendUvarint(buf, w.TS.Writer)
+	buf = codec.AppendString(buf, w.From)
+	buf = codec.AppendString(buf, w.Key)
+	buf = codec.AppendBytes(buf, w.Value)
 	if w.Cmd != nil {
-		buf = appendCommand(buf, *w.Cmd)
+		buf = appendCommand(buf, w.Cmd)
 	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(w.Cmds)))
+	buf = codec.AppendUvarint(buf, uint64(len(w.Cmds)))
 	for i := range w.Cmds {
-		buf = appendCommand(buf, w.Cmds[i])
+		buf = appendCommand(buf, &w.Cmds[i])
 	}
-	if w.Res != nil {
-		buf = appendResult(buf, *w.Res)
+	if r := w.Res; r != nil {
+		buf = codec.AppendBool(buf, r.OK)
+		buf = codec.AppendUvarint(buf, r.Version.TS)
+		buf = codec.AppendUvarint(buf, r.Version.Writer)
+		buf = codec.AppendString(buf, r.Err)
+		buf = codec.AppendBytes(buf, r.Value)
 	}
 	return buf
 }
 
-// DecodeWire parses a wire message.
+func appendCommand(buf []byte, c *Command) []byte {
+	buf = append(buf, byte(c.Op))
+	buf = codec.AppendUvarint(buf, c.Seq)
+	buf = codec.AppendString(buf, c.Key)
+	buf = codec.AppendBytes(buf, c.Value)
+	buf = codec.AppendString(buf, c.ClientID)
+	return codec.AppendString(buf, c.ClientAddr)
+}
+
+// DecodeWire parses a wire message. Counts are bounded by the input before
+// anything is allocated for them; see internal/codec.
 func DecodeWire(data []byte) (*Wire, error) {
-	d := decoder{buf: data}
-	var w Wire
-	w.Kind = d.uint16()
-	flags := d.byte()
+	r := codec.NewReader(data)
+	flags := r.Byte()
 	if flags&^(flagOK|flagCmd|flagRes) != 0 {
 		return nil, fmt.Errorf("decode wire: unknown flags %#x", flags)
 	}
-	w.Group = d.uint32()
-	w.Epoch = d.uint64()
-	w.From = d.string()
-	w.Term = d.uint64()
-	w.Index = d.uint64()
-	w.Commit = d.uint64()
-	w.TS.TS = d.uint64()
-	w.TS.Writer = d.uint64()
-	w.Key = d.string()
-	w.Value = d.bytes()
+	var w Wire
+	w.Kind = r.Uint16()
+	w.Group = r.Uint32()
+	r.Uvarints(&w.Epoch, &w.Term, &w.Index, &w.Commit, &w.TS.TS, &w.TS.Writer)
+	w.From = r.String()
+	w.Key = r.String()
+	w.Value = r.Bytes()
 	w.OK = flags&flagOK != 0
 	if flags&flagCmd != 0 {
-		c := d.command()
-		w.Cmd = &c
+		w.Cmd = new(Command)
+		readCommand(&r, w.Cmd)
 	}
-	n := int(d.uint32())
-	if n > 0 {
-		if n > 1<<20 {
-			return nil, ErrWireOversized
-		}
-		// The count is attacker-controlled: bound the preallocation by what
-		// the remaining bytes could actually encode (each command takes at
-		// least minEncodedCommand bytes), so a tiny packet with a huge count
-		// cannot force a ~90 MB allocation.
-		if rem := len(data) - d.pos; n > rem/minEncodedCommand {
-			return nil, fmt.Errorf("decode wire: %w", ErrWireTruncated)
-		}
-		w.Cmds = make([]Command, 0, n)
-		for i := 0; i < n; i++ {
-			w.Cmds = append(w.Cmds, d.command())
+	if n := r.Count(minEncodedCommand); n > 0 {
+		w.Cmds = make([]Command, n)
+		for i := range w.Cmds {
+			readCommand(&r, &w.Cmds[i])
 		}
 	}
 	if flags&flagRes != 0 {
-		r := d.result()
-		w.Res = &r
+		res := &Result{}
+		res.OK = r.Bool()
+		r.Uvarints(&res.Version.TS, &res.Version.Writer)
+		res.Err = r.String()
+		res.Value = r.Bytes()
+		w.Res = res
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("decode wire: %w", d.err)
-	}
-	if d.pos != len(data) {
-		return nil, fmt.Errorf("decode wire: %d trailing bytes", len(data)-d.pos)
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("decode wire: %w", err)
 	}
 	return &w, nil
 }
 
-func appendString(buf []byte, s string) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s)))
-	return append(buf, s...)
-}
-
-func appendBytes(buf, b []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(b)))
-	return append(buf, b...)
-}
-
-func appendCommand(buf []byte, c Command) []byte {
-	buf = append(buf, byte(c.Op))
-	buf = appendString(buf, c.Key)
-	buf = appendBytes(buf, c.Value)
-	buf = appendString(buf, c.ClientID)
-	buf = appendString(buf, c.ClientAddr)
-	return binary.BigEndian.AppendUint64(buf, c.Seq)
-}
-
-func appendResult(buf []byte, r Result) []byte {
-	if r.OK {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = appendString(buf, r.Err)
-	buf = appendBytes(buf, r.Value)
-	buf = binary.BigEndian.AppendUint64(buf, r.Version.TS)
-	return binary.BigEndian.AppendUint64(buf, r.Version.Writer)
-}
-
-// decoder mirrors the authn package's bounds-checked reader.
-type decoder struct {
-	buf []byte
-	pos int
-	err error
-}
-
-func (d *decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || n > maxWireField {
-		d.err = ErrWireOversized
-		return nil
-	}
-	if d.pos+n > len(d.buf) {
-		d.err = ErrWireTruncated
-		return nil
-	}
-	b := d.buf[d.pos : d.pos+n]
-	d.pos += n
-	return b
-}
-
-func (d *decoder) byte() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *decoder) uint16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
-func (d *decoder) uint32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (d *decoder) uint64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (d *decoder) string() string {
-	n := int(d.uint32())
-	b := d.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
-func (d *decoder) bytes() []byte {
-	n := int(d.uint32())
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
-}
-
-func (d *decoder) command() Command {
-	var c Command
-	c.Op = Op(d.byte())
-	c.Key = d.string()
-	c.Value = d.bytes()
-	c.ClientID = d.string()
-	c.ClientAddr = d.string()
-	c.Seq = d.uint64()
-	return c
-}
-
-func (d *decoder) result() Result {
-	var r Result
-	switch b := d.byte(); b {
-	case 0, 1:
-		r.OK = b == 1
-	default:
-		if d.err == nil {
-			d.err = fmt.Errorf("bad result flag %#x", b)
-		}
-	}
-	r.Err = d.string()
-	r.Value = d.bytes()
-	r.Version.TS = d.uint64()
-	r.Version.Writer = d.uint64()
-	return r
+func readCommand(r *codec.Reader, c *Command) {
+	c.Op = Op(r.Byte())
+	c.Seq = r.Uvarint()
+	c.Key = r.String()
+	c.Value = r.Bytes()
+	c.ClientID = r.String()
+	c.ClientAddr = r.String()
 }

@@ -2,9 +2,13 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"recipe/internal/codec"
 	"recipe/internal/kvstore"
 )
 
@@ -196,5 +200,79 @@ func TestChannelSenderParsing(t *testing.T) {
 		if got != tc.want || ok != tc.wantOK {
 			t.Errorf("channelSender(%q) = %q,%v; want %q,%v", tc.cq, got, ok, tc.want, tc.wantOK)
 		}
+	}
+}
+
+// varintBoundaries are the values where a varint's length changes, plus
+// the extremes.
+var varintBoundaries = []uint64{0, 127, 128, 16383, 16384, math.MaxUint64}
+
+// TestWireEncodedSizeAtVarintBoundaries checks EncodedSize against the
+// encoding, and the encoding against a decode/re-encode round trip, with
+// every integer field and every length prefix of the message at each
+// varint boundary. Narrow fields are clamped to their width.
+func TestWireEncodedSizeAtVarintBoundaries(t *testing.T) {
+	base := func() *Wire {
+		return &Wire{
+			Cmd:  &Command{Op: OpPut},
+			Cmds: []Command{{Op: OpGet}},
+			Res:  &Result{},
+		}
+	}
+	str := func(v uint64) string { return strings.Repeat("s", int(min(v, 16384))) }
+	fields := map[string]func(w *Wire, v uint64){
+		"Kind":           func(w *Wire, v uint64) { w.Kind = uint16(min(v, math.MaxUint16)) },
+		"Group":          func(w *Wire, v uint64) { w.Group = uint32(min(v, math.MaxUint32)) },
+		"Epoch":          func(w *Wire, v uint64) { w.Epoch = v },
+		"Term":           func(w *Wire, v uint64) { w.Term = v },
+		"Index":          func(w *Wire, v uint64) { w.Index = v },
+		"Commit":         func(w *Wire, v uint64) { w.Commit = v },
+		"TS.TS":          func(w *Wire, v uint64) { w.TS.TS = v },
+		"TS.Writer":      func(w *Wire, v uint64) { w.TS.Writer = v },
+		"len(From)":      func(w *Wire, v uint64) { w.From = str(v) },
+		"len(Key)":       func(w *Wire, v uint64) { w.Key = str(v) },
+		"len(Value)":     func(w *Wire, v uint64) { w.Value = []byte(str(v)) },
+		"Cmd.Seq":        func(w *Wire, v uint64) { w.Cmd.Seq = v },
+		"len(Cmd.Key)":   func(w *Wire, v uint64) { w.Cmd.Key = str(v) },
+		"len(Cmd.Value)": func(w *Wire, v uint64) { w.Cmd.Value = []byte(str(v)) },
+		"len(ClientID)":  func(w *Wire, v uint64) { w.Cmd.ClientID = str(v) },
+		"len(Addr)":      func(w *Wire, v uint64) { w.Cmd.ClientAddr = str(v) },
+		"Cmds[0].Seq":    func(w *Wire, v uint64) { w.Cmds[0].Seq = v },
+		"len(Cmds)":      func(w *Wire, v uint64) { w.Cmds = make([]Command, min(v, 16384)) },
+		"Res.Version.TS": func(w *Wire, v uint64) { w.Res.Version.TS = v },
+		"Res.Writer":     func(w *Wire, v uint64) { w.Res.Version.Writer = v },
+		"len(Res.Err)":   func(w *Wire, v uint64) { w.Res.Err = str(v) },
+		"len(Res.Value)": func(w *Wire, v uint64) { w.Res.Value = []byte(str(v)) },
+	}
+	for name, set := range fields {
+		for _, v := range varintBoundaries {
+			w := base()
+			set(w, v)
+			enc := w.AppendTo(nil)
+			if w.EncodedSize() != len(enc) {
+				t.Errorf("%s=%d: EncodedSize %d, encoded %d", name, v, w.EncodedSize(), len(enc))
+			}
+			got, err := DecodeWire(enc)
+			if err != nil {
+				t.Errorf("%s=%d: decode: %v", name, v, err)
+				continue
+			}
+			if !bytes.Equal(got.Encode(), enc) {
+				t.Errorf("%s=%d: re-encode differs", name, v)
+			}
+		}
+	}
+}
+
+// TestWireDecodeRejectsNonCanonical pins the canonical rule on a real
+// message: padding any one-byte varint to two bytes must fail to decode,
+// since it would otherwise re-encode to different bytes.
+func TestWireDecodeRejectsNonCanonical(t *testing.T) {
+	enc := (&Wire{Kind: KindClientReq, Term: 3}).Encode()
+	// enc[1] is the kind, a one-byte varint; 0x81 0x00 is the same value
+	// padded.
+	padded := append([]byte{enc[0], enc[1] | 0x80, 0x00}, enc[2:]...)
+	if _, err := DecodeWire(padded); !errors.Is(err, codec.ErrNonCanonical) {
+		t.Errorf("padded kind: err = %v, want ErrNonCanonical", err)
 	}
 }

@@ -17,10 +17,10 @@ import (
 // BatchSender; callers that don't use it keep plain per-message Send.
 //
 // Coalesced packets are framed as [magic][count]([len][bytes])*. The magic
-// cannot collide with the other payloads a transport carries: an authn
-// envelope starts with a big-endian view number (high word zero in any
-// realistic execution) and a raw wire message starts with a small message
-// kind, so neither begins with these four bytes.
+// cannot collide with the other payloads a transport carries, because each
+// format owns a disjoint range of first bytes: the magic starts with 0x52
+// ('R'), an authn envelope with its tag byte (0xA0–0xA3) and a raw
+// core.Wire with its flags byte (0–7).
 //
 // Buffer discipline: QueueSend transfers buffer ownership to the transport,
 // so once a frame's bytes have been copied into a multiframe packet nothing

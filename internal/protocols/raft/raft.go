@@ -1,10 +1,11 @@
 package raft
 
 import (
-	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"time"
 
+	"recipe/internal/codec"
 	"recipe/internal/core"
 	"recipe/internal/kvstore"
 	"recipe/internal/telemetry"
@@ -447,6 +448,18 @@ func (r *Raft) onAppendEntries(from string, m *core.Wire) {
 	r.leader = from
 	r.resetElectionTimer()
 
+	// The terms blob must carry exactly one term per entry. A short blob
+	// used to append fewer entries than matchIdx below counts, so the
+	// commit index overran the log and applying it panicked. A malformed
+	// AppendEntries is dropped unanswered: a NACK would make the leader
+	// reship at once and ping-pong, whereas silence leaves the retry to the
+	// next heartbeat.
+	terms, err := decodeTerms(m.Value, len(m.Cmds))
+	if err != nil {
+		r.env.Logf("raft %s: dropping AppendEntries from %s: %v", r.id, from, err)
+		return
+	}
+
 	prevIdx := m.Index
 	prevTerm := m.TS.TS
 	consistent := prevIdx <= r.base // the compacted prefix is committed state
@@ -464,11 +477,7 @@ func (r *Raft) onAppendEntries(from string, m *core.Wire) {
 		return
 	}
 
-	terms := decodeTerms(m.Value)
 	for i, cmd := range m.Cmds {
-		if i >= len(terms) {
-			break
-		}
 		idx := prevIdx + uint64(i) + 1
 		if idx <= r.base {
 			continue // covered by the compacted (committed) prefix
@@ -745,20 +754,28 @@ func readLocal(store *kvstore.Store, key string) core.Result {
 	return core.Result{OK: true, Value: v, Version: ver}
 }
 
+// encodeTerms serialises the per-entry terms of an AppendEntries as
+// canonical varints (internal/codec), one per shipped command.
 func encodeTerms(terms []uint64) []byte {
-	buf := make([]byte, 0, len(terms)*8)
+	buf := make([]byte, 0, len(terms))
 	for _, t := range terms {
-		buf = binary.BigEndian.AppendUint64(buf, t)
+		buf = codec.AppendUvarint(buf, t)
 	}
 	return buf
 }
 
-func decodeTerms(data []byte) []uint64 {
-	out := make([]uint64, 0, len(data)/8)
-	for i := 0; i+8 <= len(data); i += 8 {
-		out = append(out, binary.BigEndian.Uint64(data[i:i+8]))
+// decodeTerms parses a terms blob that must hold exactly n terms and
+// nothing after them.
+func decodeTerms(data []byte, n int) ([]uint64, error) {
+	r := codec.NewReader(data)
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = r.Uvarint()
 	}
-	return out
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("raft: terms for %d entries: %w", n, err)
+	}
+	return out, nil
 }
 
 func min(a, b uint64) uint64 {
